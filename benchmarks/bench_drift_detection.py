@@ -28,8 +28,6 @@ All numbers land in ``BENCH_drift.json`` (override with
 ``BENCH_DRIFT_JSON``) for CI to upload and trend.
 """
 
-import json
-import os
 import time
 
 import pytest
@@ -68,21 +66,11 @@ ROUNDS = 8
 N_QUERIES = 20
 
 #: Gate measurements accumulated across tests, flushed to
-#: ``BENCH_drift.json`` by the module-scoped reporter fixture.
+#: ``BENCH_drift.json`` (override the path with ``BENCH_DRIFT_JSON``) by the
+#: shared ``bench_report`` fixture in ``benchmarks/conftest.py``.
 RESULTS: dict = {}
-
-
-@pytest.fixture(scope="module", autouse=True)
-def bench_report():
-    """Write whatever gates ran to the machine-readable report, even on
-    partial failure — CI uploads the file as an artifact either way."""
-    yield
-    path = os.environ.get("BENCH_DRIFT_JSON", "BENCH_drift.json")
-    payload = {"generated_by": "benchmarks/bench_drift_detection.py",
-               **RESULTS}
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+REPORT = ("BENCH_DRIFT_JSON", "BENCH_drift.json")
+pytestmark = pytest.mark.usefixtures("bench_report")
 
 
 @pytest.fixture(scope="module")

@@ -49,8 +49,6 @@ Every gate also records its numbers into ``BENCH_obs.json``
 the measurements as an artifact and trend them across commits.
 """
 
-import json
-import os
 import threading
 import time
 from contextlib import contextmanager
@@ -88,21 +86,10 @@ N_CLUSTER_WORKERS = 2
 
 #: Gate measurements accumulated across tests, flushed to
 #: ``BENCH_obs.json`` (override the path with ``BENCH_OBS_JSON``) by the
-#: module-scoped reporter fixture below.
+#: shared ``bench_report`` fixture in ``benchmarks/conftest.py``.
 RESULTS: dict = {}
-
-
-@pytest.fixture(scope="module", autouse=True)
-def bench_report():
-    """Write whatever gates ran to the machine-readable report, even on
-    partial failure — CI uploads the file as an artifact either way."""
-    yield
-    path = os.environ.get("BENCH_OBS_JSON", "BENCH_obs.json")
-    payload = {"generated_by": "benchmarks/bench_obs_overhead.py",
-               **RESULTS}
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+REPORT = ("BENCH_OBS_JSON", "BENCH_obs.json")
+pytestmark = pytest.mark.usefixtures("bench_report")
 
 
 @pytest.fixture(scope="module")

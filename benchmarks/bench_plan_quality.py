@@ -36,9 +36,6 @@ path with ``BENCH_PLAN_JSON``) so CI uploads the measurements as an
 artifact and trends them across commits.
 """
 
-import json
-import os
-
 import pytest
 
 from repro.baselines import PostgresMethod
@@ -62,22 +59,11 @@ SCALE = 0.1
 SEED = 0
 
 #: Gate measurements accumulated across tests, flushed to
-#: ``BENCH_plan.json`` (override with ``BENCH_PLAN_JSON``) by the
-#: module-scoped reporter fixture below.
+#: ``BENCH_plan.json`` (override the path with ``BENCH_PLAN_JSON``) by the
+#: shared ``bench_report`` fixture in ``benchmarks/conftest.py``.
 RESULTS: dict = {}
-
-
-@pytest.fixture(scope="module", autouse=True)
-def bench_report():
-    """Write whatever gates ran to the machine-readable report, even on
-    partial failure — CI uploads the file as an artifact either way."""
-    yield
-    path = os.environ.get("BENCH_PLAN_JSON", "BENCH_plan.json")
-    payload = {"generated_by": "benchmarks/bench_plan_quality.py",
-               **RESULTS}
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+REPORT = ("BENCH_PLAN_JSON", "BENCH_plan.json")
+pytestmark = pytest.mark.usefixtures("bench_report")
 
 
 @pytest.fixture(scope="module")

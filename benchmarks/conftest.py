@@ -10,6 +10,10 @@ paper's testbed, but the comparisons' *shape* is what each bench asserts
 and prints.
 """
 
+import json
+import os
+from pathlib import Path
+
 import pytest
 
 from repro.eval.harness import (
@@ -42,3 +46,21 @@ def stats_results(stats_ctx):
 def imdb_results(imdb_ctx):
     methods = default_methods("imdb", fast=True)
     return run_end_to_end(imdb_ctx, methods)
+
+
+@pytest.fixture(scope="module")
+def bench_report(request):
+    """Write a bench module's gate measurements (its ``RESULTS`` dict) to
+    the machine-readable report its ``REPORT = (env var, default path)``
+    names, even on partial failure — CI uploads the file as an artifact
+    either way.  Modules opt in with
+    ``pytestmark = pytest.mark.usefixtures("bench_report")``."""
+    yield
+    module = request.module
+    env_var, default_path = module.REPORT
+    path = os.environ.get(env_var, default_path)
+    payload = {"generated_by": f"benchmarks/{Path(module.__file__).name}",
+               **module.RESULTS}
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")

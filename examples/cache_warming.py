@@ -106,7 +106,7 @@ def main() -> None:
           f"{sum(warm_lat) / len(warm_lat) * 1e3:8.3f} ms/query")
     print(f"  speedup:               "
           f"{sum(cold_lat) / sum(warm_lat):8.1f}x")
-    stats = warmed.stats()["caches"]["orders"]
+    stats = warmed._cache_of("orders").stats()
     print(f"  warm cache stats:      {stats['subplan_hits']} sub-plan hits, "
           f"{stats['hits']} query-level hits")
 

@@ -78,9 +78,9 @@ def main() -> None:
 
     # -- 1. traffic: misses, cache hits, and accuracy feedback ---------------
     for sql in QUERIES:
-        _post(base, "/estimate", {"sql": sql})
+        _post(base, "/v1/estimate", {"sql": sql})
     for sql in QUERIES:
-        _post(base, "/estimate", {"sql": sql})  # query-level cache hits
+        _post(base, "/v1/estimate", {"sql": sql})  # query-level cache hits
     # a client that later learned the real cardinalities reports them
     # back; the service records rolling q-error histograms per model
     for sql in QUERIES:

@@ -4,7 +4,7 @@ Walks the whole ``repro.serve`` stack in-process:
 
 1. fit FactorJoin and save a versioned artifact (manifest + pickle);
 2. load it back (the warm start a serving process does instead of fitting);
-3. publish it in an EstimationService and answer single / batched queries,
+3. publish it in an EstimationService and answer queries,
    watching the estimate cache kick in;
 4. apply an incremental insert (paper Section 4.3) — the cache invalidates
    and estimates shift;
@@ -53,12 +53,12 @@ def main() -> None:
           f"{first.seconds * 1e3:.3f} ms uncached, "
           f"{second.seconds * 1e3:.3f} ms cached")
 
-    batch = service.estimate_many([
+    batch = [service.estimate(q) for q in (
         "SELECT COUNT(*) FROM users u, orders o WHERE u.id = o.user_id",
         sql,
         "SELECT COUNT(*) FROM users u, orders o "
         "WHERE u.id = o.user_id AND o.amount > 250",
-    ])
+    )]
     print(f"batch of {len(batch)}: "
           f"{[round(r.estimate) for r in batch]} "
           f"(cached: {[r.cached for r in batch]})")
@@ -67,7 +67,7 @@ def main() -> None:
     inserts = db.table("orders").head(2000)
     info = service.update("orders", inserts)
     after = service.estimate(sql)
-    print(f"\ninserted {info['rows']} orders in {info['seconds'] * 1e3:.1f} "
+    print(f"\ninserted {info.rows} orders in {info.seconds * 1e3:.1f} "
           f"ms; estimate moved {first.estimate:,.0f} -> "
           f"{after.estimate:,.0f} (cache invalidated: {not after.cached})")
 
@@ -88,11 +88,14 @@ def main() -> None:
     print(f"  explain: bound_mode={trace['bound_mode']}, "
           f"bins touched={trace['bins_touched']}, "
           f"cache_level={trace['cache_level']}")
-    stats = json.loads(urllib.request.urlopen(
-        f"http://{host}:{port}/stats").read())
-    cache = stats["caches"]["orders"]
-    print(f"GET /stats -> {cache['hits']} hits / {cache['misses']} misses, "
-          f"p50 {stats['estimate_latency']['p50_ms']:.3f} ms")
+    metrics = json.loads(urllib.request.urlopen(
+        f"http://{host}:{port}/v1/stats").read())["metrics"]
+    hits = metrics["repro_cache_hits_total"]["values"]
+    misses = metrics["repro_cache_misses_total"]["values"]
+    latency = metrics["repro_request_seconds"]["summary"]
+    print(f"GET /v1/stats -> {hits['level=query,model=orders']:.0f} hits / "
+          f"{misses['level=query,model=orders']:.0f} misses, "
+          f"p50 {latency['p50'] * 1e3:.3f} ms")
     server.shutdown()
     server.server_close()
 

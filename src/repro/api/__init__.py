@@ -12,8 +12,8 @@ family — :class:`~repro.core.estimator.FactorJoin`,
 HTTP routes, and the CLI all program against it.
 
 This is the contract later work (multi-process workers, per-shard
-hot-swap, remote fit) builds on; the pre-protocol entry points remain as
-thin deprecation shims (see the migration table in ``docs/API.md``).
+hot-swap, remote fit) builds on (see the migration table in
+``docs/API.md``).
 """
 
 from repro.api.coerce import coerce_query

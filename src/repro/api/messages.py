@@ -7,10 +7,9 @@ gives every request and response a declared shape:
   :class:`UpdateRequest`) validate on construction and parse themselves
   from ``/v1`` JSON bodies (:meth:`from_json`);
 - responses (:class:`EstimateResponse`, :class:`SubplanResponse`,
-  :class:`UpdateResponse`) know both their versioned ``/v1`` rendering
+  :class:`UpdateResponse`) render their versioned ``/v1`` body
   (:meth:`to_json`, which stamps ``api_version`` and carries the optional
-  :class:`ExplainTrace`) and the legacy unversioned body
-  (:meth:`describe`) the deprecation-shim routes keep answering;
+  :class:`ExplainTrace`);
 - the **error taxonomy** maps every exception the library raises to a
   stable machine-readable code and an HTTP status
   (:func:`error_code`, :func:`error_payload`, :func:`http_status_of`),
@@ -218,9 +217,6 @@ class EstimateResponse:
     sub-plan table), or None (computed by the model); ``cached`` stays
     the boolean summary of the first two.  ``explain`` is only populated
     when the request asked for it.
-
-    Also exported as ``EstimateResult`` (its pre-``/v1`` name) from
-    :mod:`repro.serve` — a deprecation alias, same class.
     """
 
     estimate: float
@@ -233,9 +229,9 @@ class EstimateResponse:
     explain: ExplainTrace | None = None
     trace: dict | None = None
 
-    def describe(self) -> dict:
-        """Legacy JSON view (the unversioned ``POST /estimate`` body)."""
-        return {
+    def to_json(self) -> dict:
+        """Versioned JSON view (the ``POST /v1/estimate`` body)."""
+        payload = {
             "estimate": self.estimate,
             "model": self.model,
             "version": self.version,
@@ -243,14 +239,10 @@ class EstimateResponse:
             "cache_level": self.cache_level,
             "seconds": self.seconds,
             "sql": self.sql,
+            "api_version": API_VERSION,
+            "explain": (self.explain.to_json()
+                        if self.explain is not None else None),
         }
-
-    def to_json(self) -> dict:
-        """Versioned JSON view (the ``POST /v1/estimate`` body)."""
-        payload = self.describe()
-        payload["api_version"] = API_VERSION
-        payload["explain"] = (self.explain.to_json()
-                              if self.explain is not None else None)
         if self.trace is not None:
             payload["trace"] = self.trace
         return payload
@@ -421,8 +413,8 @@ class UpdateResponse:
     deleted_rows: int
     seconds: float
 
-    def describe(self) -> dict:
-        """Legacy JSON view (the unversioned ``POST /update`` body)."""
+    def to_json(self) -> dict:
+        """Versioned JSON view (the ``POST /v1/update`` body)."""
         return {
             "model": self.model,
             "version": self.version,
@@ -430,10 +422,5 @@ class UpdateResponse:
             "rows": self.rows,
             "deleted_rows": self.deleted_rows,
             "seconds": self.seconds,
+            "api_version": API_VERSION,
         }
-
-    def to_json(self) -> dict:
-        """Versioned JSON view (the ``POST /v1/update`` body)."""
-        payload = self.describe()
-        payload["api_version"] = API_VERSION
-        return payload

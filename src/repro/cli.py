@@ -632,9 +632,7 @@ def cmd_serve(args) -> int:
     print("endpoints: POST /v1/estimate /v1/subplans /v1/plan /v1/update "
           "/v1/explain /v1/swap /v1/feedback · GET /v1/models /v1/stats "
           "/v1/traces /v1/slo /v1/drift /v1/alerts /v1/debug/bundles "
-          "/v1/profile /metrics /health "
-          "(legacy: /estimate /estimate_batch /update /warmup /models "
-          "/stats)")
+          "/v1/profile /metrics /health · POST /warmup /snapshot")
     try:
         server.serve_forever()
     except KeyboardInterrupt:

@@ -70,7 +70,7 @@ from repro.cluster.messages import (
 )
 from repro.cluster.pool import DEFAULT_TIMEOUT, WorkerPool
 from repro.core.key_groups import query_key_groups
-from repro.obs.drift import DriftFederator, empty_drift_snapshot
+from repro.obs.drift import empty_drift_snapshot, merge_drift_snapshot
 from repro.obs.federate import MetricsFederator
 from repro.obs.trace import capture_context, trace_span, use_context
 from repro.errors import (
@@ -586,7 +586,8 @@ class ClusterModel(ShardedFactorJoin):
         model._artifact_path = str(path)
         model._compact_after = compact_after
         model._federator = MetricsFederator()
-        model._drift_federator = DriftFederator()
+        model._drift_federator = MetricsFederator(empty_drift_snapshot,
+                                                  merge_drift_snapshot)
         # hooks accumulate per model, so several cluster models can share
         # one pool and each reseeds its own tokens after a restart
         pool.add_restart_hook(model._reseed_worker)
@@ -660,6 +661,17 @@ class ClusterModel(ShardedFactorJoin):
         if federator is None:
             return []
         groups = self._shard_groups()
+        self._scrape_workers(
+            federator, CollectMetrics(), description,
+            lambda worker_id: {"model": model_name, "worker": str(worker_id),
+                               "shard_group": groups.get(worker_id, "")})
+        return federator.families()
+
+    def _scrape_workers(self, federator, message, description: dict,
+                        labels_of=None) -> None:
+        """Scrape every live worker with ``message`` (5s timeout, like a
+        ping) into ``federator``: a retired worker is forgotten, a dead
+        or failing one keeps serving its last-known state."""
         for row in description["workers"]:
             worker_id = row["worker"]
             if row["retired"]:
@@ -668,17 +680,14 @@ class ClusterModel(ShardedFactorJoin):
             if not row["alive"]:
                 federator.mark_unreachable(worker_id)
                 continue
-            labels = {"model": model_name, "worker": str(worker_id),
-                      "shard_group": groups.get(worker_id, "")}
             try:
-                reply = self._pool.call(worker_id, CollectMetrics(),
-                                        timeout=5.0)
+                reply = self._pool.call(worker_id, message, timeout=5.0)
             except WorkerError:
                 federator.mark_unreachable(worker_id)
                 continue
             federator.absorb(worker_id, row.get("generation", 0),
-                             reply.snapshot, labels)
-        return federator.families()
+                             reply.snapshot,
+                             labels_of(worker_id) if labels_of else None)
 
     def _shard_owners(self) -> dict[int, int]:
         """``shard index -> owning worker id``, read from the token
@@ -731,23 +740,8 @@ class ClusterModel(ShardedFactorJoin):
         federator = getattr(self, "_drift_federator", None)
         if federator is None:
             return empty_drift_snapshot()
-        description = self._pool.describe()
-        for row in description["workers"]:
-            worker_id = row["worker"]
-            if row["retired"]:
-                federator.forget(worker_id)
-                continue
-            if not row["alive"]:
-                federator.mark_unreachable(worker_id)
-                continue
-            try:
-                reply = self._pool.call(worker_id, CollectDrift(),
-                                        timeout=5.0)
-            except WorkerError:
-                federator.mark_unreachable(worker_id)
-                continue
-            federator.absorb(worker_id, row.get("generation", 0),
-                             reply.snapshot)
+        self._scrape_workers(federator, CollectDrift(),
+                             self._pool.describe())
         return federator.merged()
 
     def profile_worker(self, worker_id: int, seconds: float = 1.0,

@@ -1,25 +1,24 @@
 """Bound-based inference over query factor graphs.
 
-``fold_query`` runs the full estimation for one query: base factors are
-combined pairwise along the join graph (which is exactly variable
-elimination with the bound semiring — each combination eliminates the
-shared variables' summations).
-
 ``ProgressiveSubplanEstimator`` implements Section 5.2: every connected
 sub-plan's factor is cached, and each larger sub-plan is built by combining
 one cached factor with one base factor, so estimating all sub-plan queries
-of a target query does no redundant work.
+of a target query does no redundant work.  Base factors are combined
+pairwise along the join graph (which is exactly variable elimination with
+the bound semiring — each combination eliminates the shared variables'
+summations).
 
-The progressive path combines factors in *exactly* the greedy order
-``fold_query`` would use on each induced sub-query.  The bound semiring is
-order-sensitive, so this is what makes the progressive estimate of a
-sub-plan bit-identical to estimating that sub-plan from scratch — and what
-lets the serving layer reuse sub-plan entries to answer plain estimates
-(see :mod:`repro.serve.cache`) without changing any answer.  The key
-property: the greedy order never picks an element earlier because a
-later-picked element exists, so the greedy order of ``S`` minus its last
-element *is* the greedy order of that smaller set, and building ``S`` as
-``combine(factor(S - {last}), base(last))`` reproduces the whole fold.
+``fold_query`` runs the full estimation for one query as the progressive
+estimator's factor for the whole alias set, so both paths share one greedy
+combination order.  The bound semiring is order-sensitive, so this is what
+makes the progressive estimate of a sub-plan bit-identical to estimating
+that sub-plan from scratch — and what lets the serving layer reuse
+sub-plan entries to answer plain estimates (see :mod:`repro.serve.cache`)
+without changing any answer.  The key property: the greedy order never
+picks an element earlier because a later-picked element exists, so the
+greedy order of ``S`` minus its last element *is* the greedy order of
+that smaller set, and building ``S`` as ``combine(factor(S - {last}),
+base(last))`` reproduces the whole fold.
 """
 
 from __future__ import annotations
@@ -35,31 +34,13 @@ FactorProvider = Callable[[Query, str], JoinFactor]
 
 def fold_query(query: Query, provider: FactorProvider,
                mode: str = bound_mod.BOUND) -> float:
-    """Estimate one query by folding base factors along the join graph."""
-    aliases = list(query.aliases)
-    if not aliases:
+    """Estimate one query by folding base factors along the join graph
+    in the greedy order (the progressive estimator's whole-query
+    factor)."""
+    if not query.aliases:
         return 0.0
-    factors = {alias: provider(query, alias) for alias in aliases}
-    if len(aliases) == 1:
-        return factors[aliases[0]].total_estimate
-
-    adj = query.adjacency()
-    remaining = set(aliases)
-    # deterministic start: smallest base estimate first
-    start = min(remaining,
-                key=lambda a: (factors[a].total_estimate, a))
-    current = factors[start]
-    remaining.discard(start)
-    joined = {start}
-    while remaining:
-        connected = [a for a in remaining
-                     if adj[a] & joined]
-        pool = connected or sorted(remaining)
-        nxt = min(pool, key=lambda a: (factors[a].total_estimate, a))
-        current = combine(current, factors[nxt], mode=mode)
-        joined.add(nxt)
-        remaining.discard(nxt)
-    return current.total_estimate
+    estimator = ProgressiveSubplanEstimator(query, provider, mode)
+    return estimator.factor_for(frozenset(query.aliases)).total_estimate
 
 
 class ProgressiveSubplanEstimator:
@@ -107,11 +88,10 @@ class ProgressiveSubplanEstimator:
         return factor
 
     def _fold_order(self, subset: frozenset) -> list[str]:
-        """``fold_query``'s greedy combination order on the induced
-        sub-query: start from the smallest base estimate, grow along the
-        join graph by smallest base estimate, cross-product fallback when
-        nothing connects.  Must mirror ``fold_query`` exactly — any
-        divergence breaks the bit-identity the serving cache relies on."""
+        """The greedy combination order on the induced sub-query: start
+        from the smallest base estimate, grow along the join graph by
+        smallest base estimate, cross-product fallback when nothing
+        connects."""
         adj = self._query.adjacency()
         est = {a: self.base_factor(a).total_estimate for a in subset}
         remaining = set(subset)

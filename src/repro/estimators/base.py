@@ -65,7 +65,7 @@ class BaseTableEstimator(ABC):
 
     def supports_update(self) -> bool:
         """Whether this estimator overrides :meth:`update` (the serving
-        layer rejects ``POST /update`` early for models that would raise)."""
+        layer rejects ``POST /v1/update`` early for models that would raise)."""
         return type(self).update is not BaseTableEstimator.update
 
     def delete(self, deleted_rows: Table) -> None:

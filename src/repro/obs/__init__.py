@@ -8,8 +8,7 @@ shared, dependency-free instrumentation surface:
   and histograms with exact streaming percentiles (values quantized to
   three significant figures, so percentiles are exact over the *whole*
   stream in bounded memory, not a recent window).  One registry per
-  service absorbs the former ``LatencyStats``/cache-counter one-offs and
-  renders itself as Prometheus text (``GET /metrics``) or JSON
+  service holds its request latency and cache counters and renders itself as Prometheus text (``GET /metrics``) or JSON
   (``GET /v1/stats``).  Histogram observations can carry a trace id,
   stored as per-bucket **exemplars** linking a slow percentile bucket to
   a concrete trace.
@@ -71,7 +70,6 @@ from repro.obs.alerts import (
 )
 from repro.obs.drift import (
     NULL_DRIFT,
-    DriftFederator,
     DriftMonitor,
     DriftReport,
     DriftSample,
@@ -137,7 +135,6 @@ __all__ = [
     "Counter",
     "current_trace_id",
     "default_alert_rules",
-    "DriftFederator",
     "DriftMonitor",
     "DriftReport",
     "DriftSample",

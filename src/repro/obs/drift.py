@@ -29,10 +29,10 @@ Snapshots (:meth:`DriftMonitor.snapshot`) are plain picklable dicts and
 :func:`merge_drift_snapshot` folds them associatively; the cluster
 routing keeps attribution keys disjoint across processes (workers hold
 only their own shards' keys), so merging is lossless.
-:class:`DriftFederator` mirrors :class:`~repro.obs.federate.
-MetricsFederator`: per-worker state, restart-safe baseline folding by
-pool-slot generation, stale-but-present semantics for unreachable
-workers.  The clock is injectable throughout so tests (and the
+The cluster driver keeps per-worker drift snapshots in a
+:class:`~repro.obs.federate.MetricsFederator` built on this pair:
+restart-safe baseline folding by pool-slot generation, stale-but-present
+semantics for unreachable workers.  The clock is injectable throughout so tests (and the
 detection-latency bench) drive windows deterministically.
 """
 
@@ -474,69 +474,6 @@ def build_report(snapshot: dict, *, now: float, windows=DEFAULT_WINDOWS,
     return DriftReport(entries,
                        dropped_keys=snapshot.get("dropped_keys", 0),
                        top=top)
-
-
-class _WorkerDrift:
-    """One worker's federation state (baseline from prior incarnations,
-    last scraped snapshot, freshness flag)."""
-
-    __slots__ = ("generation", "baseline", "last", "fresh")
-
-    def __init__(self):
-        self.generation: int | None = None
-        self.baseline = empty_drift_snapshot()
-        self.last = empty_drift_snapshot()
-        self.fresh = False
-
-
-class DriftFederator:
-    """Per-worker drift-snapshot ledger, mirroring
-    :class:`~repro.obs.federate.MetricsFederator`'s semantics: a
-    restarted worker (pool-slot generation advanced) has its previous
-    incarnation's final snapshot folded into a monotone baseline, an
-    unreachable worker keeps serving last-known state, and a retired
-    worker is forgotten."""
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._workers: dict[object, _WorkerDrift] = {}
-
-    def absorb(self, worker_id, generation: int, snapshot: dict) -> None:
-        """Record one worker's scraped drift snapshot."""
-        with self._lock:
-            state = self._workers.get(worker_id)
-            if state is None:
-                state = self._workers[worker_id] = _WorkerDrift()
-            if (state.generation is not None
-                    and generation != state.generation):
-                merge_drift_snapshot(state.baseline, state.last)
-            state.generation = generation
-            state.last = snapshot
-            state.fresh = True
-
-    def mark_unreachable(self, worker_id) -> None:
-        """Flag a failed scrape; last-known state keeps serving."""
-        with self._lock:
-            state = self._workers.get(worker_id)
-            if state is not None:
-                state.fresh = False
-
-    def forget(self, worker_id) -> None:
-        """Drop a retired worker's state entirely."""
-        with self._lock:
-            self._workers.pop(worker_id, None)
-
-    def merged(self) -> dict:
-        """Every worker's ``baseline + last`` folded into one snapshot
-        (the cluster model's contribution to ``GET /v1/drift``)."""
-        merged = empty_drift_snapshot()
-        with self._lock:
-            states = sorted(self._workers.items(),
-                            key=lambda item: str(item[0]))
-            for _worker_id, state in states:
-                merge_drift_snapshot(merged, state.baseline)
-                merge_drift_snapshot(merged, state.last)
-        return merged
 
 
 class NullDriftMonitor:

@@ -14,10 +14,11 @@ driver.  This module is the bridge:
   lossless: a p99 computed from the merged counts is bit-identical to
   the p99 the worker would report locally;
 - :class:`MetricsFederator` keeps per-worker state across scrapes and
-  worker restarts.  A restarted worker reports counts from zero, so the
-  federator folds the previous incarnation's last snapshot into a
-  monotone ``baseline`` keyed by the pool slot's generation — the same
-  fold the transport counters use — and serves ``baseline + last``.
+  worker restarts, for metric and drift snapshots alike.  A restarted
+  worker reports counts from zero, so the federator folds the previous
+  incarnation's last snapshot into a monotone ``baseline`` keyed by the
+  pool slot's generation — the same fold the transport counters use —
+  and serves ``baseline + last``.
   A worker that fails a scrape keeps serving its last-known state
   rather than vanishing from the pane.
 
@@ -138,10 +139,10 @@ class _WorkerState:
 
     __slots__ = ("generation", "baseline", "last", "labels", "fresh")
 
-    def __init__(self):
+    def __init__(self, empty):
         self.generation: int | None = None
-        self.baseline = empty_snapshot()
-        self.last = empty_snapshot()
+        self.baseline = empty()
+        self.last = empty()
         self.labels: dict = {}
         self.fresh = False
 
@@ -149,34 +150,43 @@ class _WorkerState:
 class MetricsFederator:
     """Per-worker snapshot ledger with restart-safe monotone folding.
 
+    The snapshot format is the ``(empty, merge)`` pair: metric-registry
+    snapshots by default (:func:`empty_snapshot`/:func:`merge_snapshot`),
+    drift-monitor snapshots with
+    :func:`~repro.obs.drift.empty_drift_snapshot`/
+    :func:`~repro.obs.drift.merge_drift_snapshot`.
+
     :meth:`absorb` records a scrape; when the pool slot's generation
     advanced (the worker restarted and its registry reset to zero), the
     previous incarnation's final snapshot folds into the baseline first,
     so counters and histogram counts never go backwards across restarts.
     :meth:`families` renders every worker's ``baseline + last`` view —
     workers whose latest scrape failed keep serving last-known state,
-    marked stale via ``repro_worker_metrics_fresh``.
+    marked stale via ``repro_worker_metrics_fresh``; :meth:`merged`
+    folds every worker into one snapshot.
     """
 
-    def __init__(self):
+    def __init__(self, empty=empty_snapshot, merge=merge_snapshot):
+        self._empty = empty
+        self._merge = merge
         self._lock = threading.Lock()
         self._workers: dict[object, _WorkerState] = {}
 
     def absorb(self, worker_id, generation: int, snapshot: dict,
-               labels: dict) -> None:
+               labels: dict | None = None) -> None:
         """Record ``worker_id``'s scraped ``snapshot`` for pool-slot
         ``generation``, folding the previous incarnation into the
         monotone baseline when the generation advanced."""
         with self._lock:
             state = self._workers.get(worker_id)
             if state is None:
-                state = self._workers[worker_id] = _WorkerState()
+                state = self._workers[worker_id] = _WorkerState(self._empty)
             if (state.generation is not None
                     and generation != state.generation):
-                merge_snapshot(state.baseline, state.last)
+                self._merge(state.baseline, state.last)
             state.generation = generation
             state.last = snapshot
-            state.labels = dict(labels)
+            state.labels = dict(labels or {})
             state.fresh = True
 
     def mark_unreachable(self, worker_id) -> None:
@@ -193,17 +203,31 @@ class MetricsFederator:
         with self._lock:
             self._workers.pop(worker_id, None)
 
+    def _view(self, state: _WorkerState) -> dict:
+        return self._merge(self._merge(self._empty(), state.baseline),
+                           state.last)
+
+    def _states(self) -> list[_WorkerState]:
+        return [state for _worker_id, state in
+                sorted(self._workers.items(), key=lambda item: str(item[0]))]
+
     def worker_view(self, worker_id) -> dict | None:
         """The merged ``baseline + last`` snapshot for one worker
         (None when never scraped) — what :meth:`families` renders and
         tests compare against the worker's own registry."""
         with self._lock:
             state = self._workers.get(worker_id)
-            if state is None:
-                return None
-            return merge_snapshot(
-                merge_snapshot(empty_snapshot(), state.baseline),
-                state.last)
+            return None if state is None else self._view(state)
+
+    def merged(self) -> dict:
+        """Every worker's ``baseline + last`` folded into one snapshot
+        (a cluster model's drift contribution to ``GET /v1/drift``)."""
+        merged = self._empty()
+        with self._lock:
+            for state in self._states():
+                self._merge(merged, state.baseline)
+                self._merge(merged, state.last)
+        return merged
 
     def families(self) -> list[tuple[str, str, str, list]]:
         """All workers' federated families, samples re-labeled per
@@ -211,13 +235,8 @@ class MetricsFederator:
         in the rendered exposition), plus the per-worker
         ``repro_worker_metrics_fresh`` staleness gauge."""
         with self._lock:
-            states = sorted(self._workers.items(),
-                            key=lambda item: str(item[0]))
-            views = [(merge_snapshot(
-                          merge_snapshot(empty_snapshot(), state.baseline),
-                          state.last),
-                      dict(state.labels), state.fresh)
-                     for _worker_id, state in states]
+            views = [(self._view(state), dict(state.labels), state.fresh)
+                     for state in self._states()]
         grouped: dict[str, list] = {}
         order: list[tuple[str, str, str]] = []
         freshness: list[tuple[dict, float]] = []

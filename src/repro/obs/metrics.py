@@ -70,8 +70,7 @@ def percentile_from_counts(counts: dict[float, int], q: float) -> float:
     """The ``q``-quantile of a quantized value→count map (0 when empty).
 
     Walks values in sorted order accumulating counts — exact for the
-    recorded stream, matching the nearest-rank definition the old
-    windowed ``LatencyStats`` used.
+    recorded stream, under the nearest-rank definition.
     """
     total = sum(counts.values())
     if not total:

@@ -10,7 +10,7 @@ FactorJoin's offline phase is minutes, its online phase sub-millisecond
 - :mod:`repro.serve.cache` — two-level LRU estimate cache: canonical query
   fingerprints plus a cross-request sub-plan table, invalidated together
   on swap/update;
-- :mod:`repro.serve.service` — single / batched / sub-plan estimation with
+- :mod:`repro.serve.service` — single-query / sub-plan estimation with
   sub-plan reuse, workload recording, and latency accounting, safe under
   concurrent callers;
 - :mod:`repro.serve.warmup` — workload recording/replay: warm both cache
@@ -37,12 +37,7 @@ from repro.serve.artifact import (
 from repro.serve.cache import EstimateCache, query_fingerprint
 from repro.serve.httpd import ServingServer, make_server, serve_in_background
 from repro.serve.registry import ModelRecord, ModelRegistry
-from repro.serve.service import (
-    DEFAULT_MODEL,
-    EstimateResult,
-    EstimationService,
-    LatencyStats,
-)
+from repro.serve.service import DEFAULT_MODEL, EstimationService
 from repro.serve.snapshot import (
     model_fingerprint,
     read_snapshot,
@@ -60,12 +55,10 @@ from repro.serve.warmup import (
 __all__ = [
     "DEFAULT_MODEL",
     "EstimateCache",
-    "EstimateResult",
     "EstimationService",
     "FORMAT_VERSION",
     "generated_workload",
     "is_store_ref",
-    "LatencyStats",
     "load_model",
     "LocalArtifactStore",
     "load_workload",

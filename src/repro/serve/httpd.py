@@ -21,8 +21,10 @@ Versioned ``/v1`` routes (the supported API)
                             cardinalities rendered as plan hints
                             (``dialect``: ``"pg_hint_plan"`` or
                             ``"json"``; see :mod:`repro.plan.hints`)
-``POST /v1/update``         same body as ``POST /update`` → typed
-                            ``UpdateResponse`` JSON
+``POST /v1/update``         ``{"table": ..., "rows": {col: [...]},
+                            "op"?: "insert"|"delete", "model"?}`` →
+                            incremental insert or delete (JSON ``null``
+                            marks NULLs) → typed ``UpdateResponse`` JSON
 ``POST /v1/explain``        ``{"sql": ..., "model"?}`` → estimate with the
                             full explain trace (bound mode, key groups and
                             bins touched, shard pruning, cache level)
@@ -89,23 +91,10 @@ worker-side spans under one trace id — alongside the explain.
 ``invalid_request``, ...) and the taxonomy's HTTP status (see
 :mod:`repro.api.messages`).
 
-Legacy unversioned routes (deprecation shims)
----------------------------------------------
-
-These answer exactly as before ``/v1`` existed — with a ``Deprecation:
-true`` response header — so existing clients keep working; new clients
-should use ``/v1``.
+Operational routes
+------------------
 
 ==========================  =================================================
-``POST /estimate``          ``{"sql": ..., "model"?, "subplans"?,
-                            "min_tables"?}`` → one estimate (or a sub-plan
-                            map keyed by comma-joined alias sets)
-``POST /estimate_batch``    ``{"queries": [sql, ...], "model"?}`` → a result
-                            per query
-``POST /update``            ``{"table": ..., "rows": {col: [...]},
-                            "op"?: "insert"|"delete", "model"?}`` →
-                            incremental insert or delete (JSON ``null``
-                            marks NULLs)
 ``POST /snapshot``          ``{"action": "save"|"restore", "path": ...,
                             "model"?}`` → persist/warm the model's cache
                             snapshot; paths are confined to the server's
@@ -116,14 +105,11 @@ should use ``/v1``.
                             "model"?, "subplans"?}`` → replay a workload
                             into both cache levels; returns the warm
                             summary (see :mod:`repro.serve.warmup`)
-``GET /models``             published models (name, version, kind)
-``GET /stats``              latency, cache, and registry statistics in
-                            the legacy shape (``GET /v1/stats`` is the
-                            supported route)
+``GET /health``             ``{"ok": true}`` liveness probe
 ==========================  =================================================
 
-Errors return ``{"error": ...}`` with 400 (bad request / unsupported
-query), 404 (unknown model or route), or 500.
+Operational-route errors return ``{"error": ...}`` with 400 (bad
+request), 404 (unknown model), or 500; any other path is a 404.
 """
 
 from __future__ import annotations
@@ -139,7 +125,6 @@ from repro.api import (
     UpdateRequest,
     error_payload,
     http_status_of,
-    render_subplan_keys,
 )
 from repro.data.table import Table
 from repro.errors import ModelNotFoundError, ReproError
@@ -176,16 +161,11 @@ class ServingHandler(BaseHTTPRequestHandler):
 
     # -- plumbing --------------------------------------------------------------
 
-    def _reply(self, payload: dict, status: int = 200,
-               deprecated: bool = False) -> None:
+    def _reply(self, payload: dict, status: int = 200) -> None:
         body = json.dumps(payload).encode()
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
-        if deprecated:
-            # RFC 9745-style marker: the route still answers, but /v1 is
-            # the supported surface
-            self.send_header("Deprecation", "true")
         self.end_headers()
         self.wfile.write(body)
 
@@ -235,20 +215,17 @@ class ServingHandler(BaseHTTPRequestHandler):
             raise ValueError(f"missing required field {field!r}")
         return payload[field]
 
-    def _dispatch(self, handler, deprecated: bool = False) -> None:
-        """Legacy dispatch: prose-only error bodies, unchanged statuses."""
+    def _dispatch(self, handler) -> None:
+        """Operational-route dispatch: prose-only error bodies."""
         try:
-            self._reply(handler(), deprecated=deprecated)
+            self._reply(handler())
         except ModelNotFoundError as exc:
-            self._reply({"error": str(exc)}, status=404,
-                        deprecated=deprecated)
+            self._reply({"error": str(exc)}, status=404)
         except (ValueError, KeyError, json.JSONDecodeError,
                 NotImplementedError, ReproError) as exc:
-            self._reply({"error": str(exc)}, status=400,
-                        deprecated=deprecated)
+            self._reply({"error": str(exc)}, status=400)
         except Exception as exc:  # pragma: no cover - defensive
-            self._reply({"error": f"internal error: {exc}"}, status=500,
-                        deprecated=deprecated)
+            self._reply({"error": f"internal error: {exc}"}, status=500)
 
     def _dispatch_v1(self, handler) -> None:
         """Versioned dispatch: machine-readable taxonomy error bodies
@@ -284,15 +261,6 @@ class ServingHandler(BaseHTTPRequestHandler):
                 self._dispatch_v1(lambda: self._get_v1_profile(params))
         elif path == "/metrics":
             self._get_metrics()
-        elif path == "/models":
-            # deprecation shim: GET /v1/models is the supported route
-            self._dispatch(
-                lambda: {"models": self.service.registry.describe()},
-                deprecated=True)
-        elif path == "/stats":
-            # deprecation shim: GET /v1/stats is the supported route
-            # (this keeps the legacy body shape)
-            self._dispatch(self.service.stats, deprecated=True)
         elif path == "/health":
             self._dispatch(lambda: {"ok": True})
         else:
@@ -315,17 +283,6 @@ class ServingHandler(BaseHTTPRequestHandler):
             self._dispatch_v1(self._post_v1_swap)
         elif path == "/v1/feedback":
             self._dispatch_v1(self._post_v1_feedback)
-        elif path == "/estimate":
-            # deprecation shim: POST /v1/estimate (or /v1/subplans when
-            # "subplans" is true) is the supported route
-            self._dispatch(self._post_estimate, deprecated=True)
-        elif path == "/estimate_batch":
-            # deprecation shim: batch clients should loop /v1/estimate
-            # (one model snapshot per request) until a /v1 batch lands
-            self._dispatch(self._post_estimate_batch, deprecated=True)
-        elif path == "/update":
-            # deprecation shim: POST /v1/update is the supported route
-            self._dispatch(self._post_update, deprecated=True)
         elif path == "/warmup":
             self._dispatch(self._post_warmup)
         elif path == "/snapshot":
@@ -362,7 +319,7 @@ class ServingHandler(BaseHTTPRequestHandler):
 
     def _post_v1_update(self) -> dict:
         """Typed incremental mutation (``UpdateRequest`` →
-        ``UpdateResponse``); same body grammar as the legacy route."""
+        ``UpdateResponse``)."""
         request = self._parse_update(self._read_json())
         return self.service.serve_update(request).to_json()
 
@@ -586,26 +543,6 @@ class ServingHandler(BaseHTTPRequestHandler):
             raise ValueError("snapshot 'path' must name a .snap file")
         return resolved
 
-    def _post_estimate(self) -> dict:
-        payload = self._read_json()
-        sql = self._require(payload, "sql")
-        model = payload.get("model")
-        if payload.get("subplans"):
-            subplans = self.service.estimate_subplans(
-                sql, model=model,
-                min_tables=int(payload.get("min_tables", 1)))
-            return {"subplans": render_subplan_keys(subplans)}
-        return self.service.estimate(sql, model=model).describe()
-
-    def _post_estimate_batch(self) -> dict:
-        payload = self._read_json()
-        queries = self._require(payload, "queries")
-        if not isinstance(queries, list):
-            raise ValueError("'queries' must be a list of SQL strings")
-        results = self.service.estimate_many(queries,
-                                             model=payload.get("model"))
-        return {"results": [r.describe() for r in results]}
-
     def _post_warmup(self) -> dict:
         """Replay a workload into the service's caches.
 
@@ -677,9 +614,8 @@ class ServingHandler(BaseHTTPRequestHandler):
         return summary
 
     def _parse_update(self, payload: dict) -> UpdateRequest:
-        """One update-body grammar for the legacy and ``/v1`` routes:
-        ``{"table", "rows": {col: [...]}, "op"?: "insert"|"delete",
-        "model"?}``."""
+        """The update body: ``{"table", "rows": {col: [...]},
+        "op"?: "insert"|"delete", "model"?}``."""
         table_name = self._require(payload, "table")
         op = payload.get("op", "insert")
         if op not in ("insert", "delete"):
@@ -694,10 +630,6 @@ class ServingHandler(BaseHTTPRequestHandler):
                                  model=payload.get("model"))
         return UpdateRequest(table=table_name, rows=batch,
                              model=payload.get("model"))
-
-    def _post_update(self) -> dict:
-        return self.service.serve_update(
-            self._parse_update(self._read_json())).describe()
 
 
 class ServingServer(ThreadingHTTPServer):

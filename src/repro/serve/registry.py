@@ -38,7 +38,7 @@ class ModelRecord:
         return type(self.model).__name__
 
     def describe(self) -> dict:
-        """JSON-ready summary (``GET /models`` rows); metadata is copied
+        """JSON-ready summary (``GET /v1/models`` rows); metadata is copied
         so serialization never iterates a dict a caller could hold."""
         return {
             "name": self.name,
@@ -105,7 +105,7 @@ class ModelRegistry:
 
     def describe(self) -> list[dict]:
         """JSON-ready summaries of every published model, sorted by name
-        (``GET /models``)."""
+        (the ``models`` section of ``GET /v1/stats``)."""
         # one atomic read of the records dict — indexing a names()
         # snapshot would race a concurrent unpublish
         records = list(self._records.values())

@@ -2,8 +2,8 @@
 
 This is the online half of the paper made operational: a fitted model is
 published into a :class:`~repro.serve.registry.ModelRegistry`, and the
-service answers single (``estimate``), batched (``estimate_many``), and
-optimizer-style sub-plan (``estimate_subplans``) requests against it, with
+service answers single-query (``estimate``) and optimizer-style
+sub-plan (``estimate_subplans``) requests against it, with
 per-request latency accounting and a two-level result cache per model.
 
 Sub-plan reuse
@@ -110,57 +110,6 @@ from repro.sql.query import Query
 
 DEFAULT_MODEL = "default"
 
-#: Deprecation alias: the pre-``/v1`` name of the typed response object.
-EstimateResult = EstimateResponse
-
-
-class LatencyStats:
-    """Deprecated shim: a view over an :mod:`repro.obs` histogram.
-
-    Latency accounting now lives in the service's
-    :class:`~repro.obs.metrics.MetricsRegistry` (the
-    ``repro_request_seconds`` histogram), where percentiles are exact
-    over the whole stream instead of a recent window.  This class keeps
-    the pre-``repro.obs`` surface working — ``service.latency.count``,
-    ``.observe()``, ``.summary()`` with the legacy ``*_ms`` keys — as a
-    filtered view over that shared histogram.  New code should read
-    ``service.metrics`` directly.
-    """
-
-    def __init__(self, window: int = 4096, histogram=None,
-                 match: dict | None = None, labels: dict | None = None):
-        #: Kept for signature compatibility; the histogram is windowless.
-        self.window = window
-        if histogram is None:
-            histogram = Histogram("latency_seconds")
-        self._histogram = histogram
-        self._match = match
-        self._labels = labels or {}
-
-    @property
-    def count(self) -> int:
-        return self._histogram.snapshot(self._match)[0]
-
-    @property
-    def total_seconds(self) -> float:
-        return self._histogram.snapshot(self._match)[1]
-
-    def observe(self, seconds: float) -> None:
-        """Record one request's wall-clock seconds."""
-        self._histogram.observe(seconds, **self._labels)
-
-    def summary(self) -> dict:
-        """JSON-ready count / mean / p50 / p99 (legacy key names)."""
-        merged = self._histogram.summary(self._match)
-        return {
-            "count": merged["count"],
-            "total_seconds": merged["total"],
-            "mean_ms": merged["mean"] * 1e3,
-            "p50_ms": merged["p50"] * 1e3,
-            "p99_ms": merged["p99"] * 1e3,
-        }
-
-
 class EstimationService:
     """Serves estimates from registered models; safe under concurrency.
 
@@ -245,16 +194,6 @@ class EstimationService:
         # observe then skips label sorting and child lookup (a benign
         # race on setdefault hands back equivalent handles)
         self._bound_latency: dict[tuple[str, str], object] = {}
-        # deprecated views over repro_request_seconds (same numbers the
-        # old windowed LatencyStats reported, now stream-exact)
-        self.latency = LatencyStats(
-            histogram=self._request_seconds,
-            match={"endpoint": ("estimate", "subplans")},
-            labels={"endpoint": "estimate"})
-        self.update_latency = LatencyStats(
-            histogram=self._request_seconds,
-            match={"endpoint": "update"},
-            labels={"endpoint": "update"})
         # scrape-time collectors: these metrics' source of truth lives
         # behind other components' locks (cache counters, registry
         # records, cluster worker health), so /metrics reads one
@@ -350,11 +289,6 @@ class EstimationService:
     def _default_name(self) -> str:
         """The registry name a ``model=None`` request resolves to."""
         return self._resolve(None).name
-
-    @staticmethod
-    def _as_query(query: Query | str) -> Query:
-        """Deprecated shim: use :func:`repro.api.coerce_query`."""
-        return coerce_query(query)
 
     # -- workload recording ----------------------------------------------------
 
@@ -510,7 +444,7 @@ class EstimationService:
             # a cache entry read while `record` is still published belongs
             # to record's version (every swap invalidates before the new
             # version can repopulate) — but a request pinned to a
-            # swapped-out record (estimate_many mid-batch) must not serve
+            # record swapped out after it resolved must not serve
             # the *new* version's entries under the old version label, so
             # verify currency AFTER the read and recompute instead of
             # trusting a shared cache
@@ -537,7 +471,7 @@ class EstimationService:
             with trace_span("model.estimate", model=record.name):
                 value = float(record.model.estimate(query))
             # cache only answers from the still-published model version
-            # (estimate_many pins a record across a hot-swap) and only if
+            # (a hot-swap may land mid-request) and only if
             # no update/swap invalidated the cache mid-computation; a swap
             # landing between these two checks still bumps the stamp, so
             # the put drops in every interleaving
@@ -564,14 +498,6 @@ class EstimationService:
                                 cached=cache_level is not None,
                                 seconds=seconds, sql=query.to_sql(),
                                 cache_level=cache_level, explain=trace)
-
-    def estimate_many(self, queries: list[Query | str],
-                      model: str | None = None) -> list[EstimateResponse]:
-        """Batched estimates, all against one resolved model snapshot
-        (a hot-swap mid-batch does not mix versions)."""
-        record = self._resolve(model)
-        return [self._estimate_with(record, q, requested_model=model)
-                for q in queries]
 
     def explain(self, query: Query | str, model: str | None = None,
                 trace: bool = False) -> EstimateResponse:
@@ -780,13 +706,12 @@ class EstimationService:
 
     def update(self, table_name: str, new_rows: Table | None = None,
                model: str | None = None,
-               deleted_rows: Table | None = None) -> dict:
+               deleted_rows: Table | None = None) -> UpdateResponse:
         """Apply an incremental insert and/or delete to a served model
-        (Section 4.3); shim over :meth:`serve_update` returning the
-        legacy summary dict."""
+        (Section 4.3); shim over :meth:`serve_update`."""
         return self.serve_update(UpdateRequest(
             table=table_name, rows=new_rows, deleted_rows=deleted_rows,
-            model=model)).describe()
+            model=model))
 
     def serve_update(self, request: UpdateRequest) -> UpdateResponse:
         """Apply one typed :class:`~repro.api.UpdateRequest`.
@@ -839,7 +764,7 @@ class EstimationService:
                 # model; snapshots taken from here on must stamp a content
                 # hash instead (see _fingerprint_of).  Tracked out of band:
                 # ModelRecord (and its metadata dict) is an immutable
-                # snapshot that concurrent GET /models responses iterate
+                # snapshot that concurrent GET /v1/models responses iterate
                 self._mutated_records.add((record.name, record.version))
         seconds = time.perf_counter() - start
         self._latency_bound("update", record.name).observe(
@@ -1362,27 +1287,6 @@ class EstimationService:
         if not self.drift.enabled:
             return []
         return self.drift_report().families()
-
-    def stats(self) -> dict:
-        """Legacy JSON serving statistics (the ``GET /stats`` shim);
-        new clients should read :meth:`stats_v1` at ``GET /v1/stats``."""
-        with self._caches_lock:
-            caches = dict(self._caches)
-        with self._recorder_lock:
-            recorder = self._recorder
-        return {
-            "uptime_seconds": time.time() - self.started_at,
-            "models": self.registry.describe(),
-            "swap_count": self.registry.swap_count,
-            "subplan_reuse": self.subplan_reuse,
-            "recording": (None if recorder is None else
-                          {"path": str(recorder.path),
-                           "recorded": recorder.recorded}),
-            "estimate_latency": self.latency.summary(),
-            "update_latency": self.update_latency.summary(),
-            "caches": {name: cache.stats()
-                       for name, cache in sorted(caches.items())},
-        }
 
     def stats_v1(self) -> dict:
         """JSON serving statistics (``GET /v1/stats``): the registry's

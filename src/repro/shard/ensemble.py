@@ -830,7 +830,7 @@ class ShardedFactorJoin:
         return self._require_state().merged.binning_for_group(name)
 
     def describe(self) -> dict:
-        """JSON-ready ensemble summary (manifest + ``GET /models``)."""
+        """JSON-ready ensemble summary (manifest + ``GET /v1/models``)."""
         state = self._require_state()
         return {
             "kind": "ShardedFactorJoin",

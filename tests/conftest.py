@@ -55,6 +55,13 @@ def build_toy_db(seed=0, n_a=60, n_b=120, n_c=40, with_nulls=False):
     ])
 
 
+def request_count(service, endpoint=("estimate", "subplans")) -> int:
+    """How many requests the service's ``repro_request_seconds``
+    histogram recorded for ``endpoint`` (a name or a tuple of names)."""
+    histogram = service.metrics.histogram("repro_request_seconds")
+    return histogram.snapshot({"endpoint": endpoint})[0]
+
+
 @pytest.fixture
 def toy_db():
     return build_toy_db()

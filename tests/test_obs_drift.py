@@ -10,7 +10,6 @@ import pytest
 from repro.obs.drift import (
     MIN_SAMPLES,
     OVERFLOW_KEY,
-    DriftFederator,
     DriftMonitor,
     DriftReport,
     NullDriftMonitor,
@@ -19,6 +18,7 @@ from repro.obs.drift import (
     merge_drift_snapshot,
     template_of,
 )
+from repro.obs.federate import MetricsFederator
 from repro.sql import parse_query
 
 
@@ -207,7 +207,7 @@ class TestFederator:
         return mon.snapshot()
 
     def test_restart_folds_previous_incarnation_into_baseline(self):
-        fed = DriftFederator()
+        fed = MetricsFederator(empty_drift_snapshot, merge_drift_snapshot)
         fed.absorb(0, 1, self._snapshot(n=10))
         fed.absorb(0, 1, self._snapshot(n=15))  # rescrape, same gen
         key = ("model", "m", "", "qerror")
@@ -216,7 +216,7 @@ class TestFederator:
         assert fed.merged()["keys"][key][1] == 20
 
     def test_unreachable_keeps_last_known_and_forget_drops(self):
-        fed = DriftFederator()
+        fed = MetricsFederator(empty_drift_snapshot, merge_drift_snapshot)
         fed.absorb(3, 1, self._snapshot(n=7))
         fed.mark_unreachable(3)
         key = ("model", "m", "", "qerror")

@@ -11,6 +11,7 @@ from repro.plan import (
 )
 from repro.serve import EstimationService, serve_in_background
 from repro.sql import parse_query
+from tests.conftest import request_count
 
 SQL = ("SELECT COUNT(*) FROM A a, B b, C c "
        "WHERE a.id = b.aid AND b.cid = c.id AND a.x > 1")
@@ -120,9 +121,9 @@ class TestRemoteGenerator:
         base_url, service = served
         remote = RemoteCardinalityGenerator(base_url)
         remote.prepare(SQL)
-        requests_after_first = service.latency.count
+        requests_after_first = request_count(service)
         remote.prepare(SQL)  # fully memoized: no new HTTP request
-        assert service.latency.count == requests_after_first
+        assert request_count(service) == requests_after_first
 
     def test_server_error_carries_taxonomy_code(self, served):
         base_url, _ = served

@@ -9,6 +9,7 @@ import pytest
 
 from repro.core.estimator import FactorJoin, FactorJoinConfig
 from repro.serve import EstimationService, serve_in_background
+from tests.conftest import request_count
 
 SQL = "SELECT COUNT(*) FROM A a, B b WHERE a.id = b.aid AND a.x > 1"
 
@@ -51,39 +52,33 @@ def _status_of(err_callable):
 class TestRoutes:
     def test_estimate(self, served):
         server, _, model = served
-        body = _post(server, "/estimate", {"sql": SQL})
+        body = _post(server, "/v1/estimate", {"sql": SQL})
         from repro.sql import parse_query
         assert body["estimate"] == model.estimate(parse_query(SQL))
         assert body["model"] == "default"
         assert not body["cached"]
-        assert _post(server, "/estimate", {"sql": SQL})["cached"]
+        again = _post(server, "/v1/estimate", {"sql": SQL})
+        assert again["cached"] and again["cache_level"] == "query"
 
     def test_estimate_subplans(self, served):
         server, _, _ = served
-        body = _post(server, "/estimate", {"sql": SQL, "subplans": True})
-        assert set(body["subplans"]) == {"a", "b", "a,b"}
-
-    def test_estimate_batch(self, served):
-        server, _, _ = served
-        other = "SELECT COUNT(*) FROM B b, C c WHERE b.cid = c.id"
-        body = _post(server, "/estimate_batch", {"queries": [SQL, other]})
-        assert len(body["results"]) == 2
-        assert all(r["estimate"] > 0 for r in body["results"])
+        body = _post(server, "/v1/subplans", {"sql": SQL, "min_tables": 2})
+        assert set(body["subplans"]) == {"a,b"}
 
     def test_update_with_json_nulls(self, served):
         server, service, _ = served
-        body = _post(server, "/update", {
+        body = _post(server, "/v1/update", {
             "table": "C",
             "rows": {"id": [1000, 1001, None], "z": [0, 1, 2]},
         })
         assert body["rows"] == 3
-        assert service.update_latency.count == 1
+        assert request_count(service, "update") == 1
 
     def test_update_accepts_any_column_order(self, served):
         # JSON objects are unordered; the service aligns columns to the
         # served table's storage order
         server, service, _ = served
-        body = _post(server, "/update", {
+        body = _post(server, "/v1/update", {
             "table": "C",
             "rows": {"z": [0, 1], "id": [2000, 2001]},
         })
@@ -97,7 +92,7 @@ class TestRoutes:
         assert body["entries"] == 1 and not body["errors"]
         assert body["caches"]["default"]["subplan_size"] >= 6
         # a sub-plan of the warmed query is now served from cache
-        hit = _post(server, "/estimate", {
+        hit = _post(server, "/v1/estimate", {
             "sql": "SELECT COUNT(*) FROM A q, B r "
                    "WHERE q.id = r.aid AND q.x > 1"})
         assert hit["cached"] and hit["cache_level"] == "subplan"
@@ -108,24 +103,31 @@ class TestRoutes:
         workload.write_text(json.dumps({"sql": SQL}) + "\n")
         body = _post(server, "/warmup", {"path": str(workload)})
         assert body["entries"] == 1
-        assert _post(server, "/estimate", {"sql": SQL})["cached"]
+        assert _post(server, "/v1/estimate", {"sql": SQL})["cached"]
 
     def test_models_and_stats_and_health(self, served):
         server, _, _ = served
-        _post(server, "/estimate", {"sql": SQL})
-        assert _get(server, "/models")["models"][0]["name"] == "default"
-        stats = _get(server, "/stats")
-        assert stats["estimate_latency"]["count"] == 1
+        _post(server, "/v1/estimate", {"sql": SQL})
+        assert _get(server, "/v1/models")["models"][0]["name"] == "default"
+        stats = _get(server, "/v1/stats")
+        summary = stats["metrics"]["repro_request_seconds"]["summary"]
+        assert summary["count"] == 1
         assert _get(server, "/health") == {"ok": True}
 
-
-def _post_raw(server, path, payload):
-    """POST returning (body, headers) for header assertions."""
-    req = urllib.request.Request(
-        _url(server, path), data=json.dumps(payload).encode(),
-        headers={"Content-Type": "application/json"})
-    with urllib.request.urlopen(req, timeout=10) as resp:
-        return json.loads(resp.read()), dict(resp.headers)
+    def test_removed_unversioned_routes_are_404(self, served):
+        """The pre-/v1 routes fall through to the unknown-route 404; the
+        versioned and operational routes still answer."""
+        server, _, _ = served
+        for path in ("/estimate", "/estimate_batch", "/update"):
+            code, body = _status_of(lambda: _post(server, path,
+                                                  {"sql": SQL}))
+            assert code == 404 and "unknown route" in body["error"]
+        for path in ("/models", "/stats"):
+            code, body = _status_of(lambda: _get(server, path))
+            assert code == 404 and "unknown route" in body["error"]
+        assert _post(server, "/v1/estimate", {"sql": SQL})["estimate"] > 0
+        assert _post(server, "/warmup", {"queries": [SQL]})["entries"] == 1
+        assert _get(server, "/health") == {"ok": True}
 
 
 class TestV1Routes:
@@ -200,37 +202,40 @@ class TestV1Routes:
             assert body["error"]["code"] == want_code, (path, body)
             assert body["error"]["message"]
 
-    def test_legacy_routes_carry_deprecation_header(self, served):
+    def test_no_response_carries_deprecation_header(self, served):
+        """With the unversioned shims gone, nothing the server answers
+        is marked deprecated."""
         server, _, _ = served
-        _, headers = _post_raw(server, "/estimate", {"sql": SQL})
-        assert headers.get("Deprecation") == "true"
-        _, batch_headers = _post_raw(server, "/estimate_batch",
-                                     {"queries": [SQL]})
-        assert batch_headers.get("Deprecation") == "true"
-        body, v1_headers = _post_raw(server, "/v1/estimate", {"sql": SQL})
-        assert "Deprecation" not in v1_headers
-        # shim and /v1 answer identically
-        legacy = _post(server, "/estimate", {"sql": SQL})
-        assert legacy["estimate"] == body["estimate"]
+        requests = [
+            urllib.request.Request(
+                _url(server, path), data=json.dumps(payload).encode(),
+                headers={"Content-Type": "application/json"})
+            for path, payload in (("/v1/estimate", {"sql": SQL}),
+                                  ("/warmup", {"queries": [SQL]}))
+        ] + [urllib.request.Request(_url(server, "/health"))]
+        for req in requests:
+            with urllib.request.urlopen(req, timeout=10) as resp:
+                assert resp.status == 200
+                assert "Deprecation" not in resp.headers, req.full_url
 
 
 class TestErrors:
     def test_unknown_model_is_404(self, served):
         server, _, _ = served
         code, body = _status_of(lambda: _post(
-            server, "/estimate", {"sql": SQL, "model": "nope"}))
-        assert code == 404 and "nope" in body["error"]
+            server, "/v1/estimate", {"sql": SQL, "model": "nope"}))
+        assert code == 404 and "nope" in body["error"]["message"]
 
     def test_bad_sql_is_400(self, served):
         server, _, _ = served
         code, body = _status_of(lambda: _post(
-            server, "/estimate", {"sql": "not sql at all"}))
-        assert code == 400 and body["error"]
+            server, "/v1/estimate", {"sql": "not sql at all"}))
+        assert code == 400 and body["error"]["message"]
 
     def test_missing_field_is_400(self, served):
         server, _, _ = served
-        code, body = _status_of(lambda: _post(server, "/estimate", {}))
-        assert code == 400 and "sql" in body["error"]
+        code, body = _status_of(lambda: _post(server, "/v1/estimate", {}))
+        assert code == 400 and "sql" in body["error"]["message"]
 
     def test_unknown_route_is_404(self, served):
         server, _, _ = served
@@ -244,6 +249,22 @@ class TestErrors:
         code, _ = _status_of(lambda: _post(
             server, "/warmup", {"queries": [SQL], "path": "x"}))
         assert code == 400
+
+    def test_v1_estimate_sql_must_be_a_string(self, served):
+        """A list of queries is not a batch request; /v1/estimate takes
+        exactly one SQL string."""
+        server, _, _ = served
+        code, body = _status_of(lambda: _post(
+            server, "/v1/estimate", {"sql": [SQL, SQL]}))
+        assert code == 400
+        assert body["error"]["code"] == "invalid_request"
+        assert "sql" in body["error"]["message"]
+
+    def test_warmup_queries_must_be_a_list(self, served):
+        server, _, _ = served
+        code, body = _status_of(lambda: _post(
+            server, "/warmup", {"queries": SQL}))
+        assert code == 400 and "non-empty list" in body["error"]
 
     def test_warmup_empty_queries_rejected(self, served):
         server, _, _ = served
@@ -289,12 +310,6 @@ class TestErrors:
         assert body["errors"] == ["1 workload entries failed to replay"]
         assert all("Hidden" not in e for e in body["errors"])
 
-    def test_batch_requires_list(self, served):
-        server, _, _ = served
-        code, _ = _status_of(lambda: _post(
-            server, "/estimate_batch", {"queries": SQL}))
-        assert code == 400
-
     def test_negative_content_length_rejected(self, served):
         # read(-1) would block until client EOF; must 400 and close instead
         import http.client
@@ -302,7 +317,7 @@ class TestErrors:
         host, port = server.server_address[:2]
         conn = http.client.HTTPConnection(host, port, timeout=5)
         try:
-            conn.putrequest("POST", "/estimate")
+            conn.putrequest("POST", "/v1/estimate")
             conn.putheader("Content-Length", "-1")
             conn.endheaders()
             response = conn.getresponse()
@@ -313,8 +328,8 @@ class TestErrors:
 
 
 class TestConcurrentClients:
-    def test_many_clients_batching_concurrently(self, served):
-        """The acceptance scenario: concurrent POST /estimate_batch clients
+    def test_many_clients_estimating_concurrently(self, served):
+        """The acceptance scenario: concurrent POST /v1/estimate clients
         all receive complete, consistent answers."""
         server, service, model = served
         from repro.sql import parse_query
@@ -324,9 +339,8 @@ class TestConcurrentClients:
 
         def client():
             try:
-                body = _post(server, "/estimate_batch",
-                             {"queries": [SQL, other]})
-                results.append(body["results"])
+                results.append([_post(server, "/v1/estimate", {"sql": sql})
+                                for sql in (SQL, other)])
             except Exception as exc:  # noqa: BLE001 - recording
                 errors.append(exc)
 
@@ -338,7 +352,7 @@ class TestConcurrentClients:
         assert not errors
         assert len(results) == 12
         assert all(batch[0]["estimate"] == want for batch in results)
-        assert service.latency.count == 24
+        assert request_count(service) == 24
 
 
 @pytest.fixture
@@ -362,32 +376,32 @@ class TestUpdateOps:
 
     def test_update_op_delete_round_trip(self, served_scan, toy_db):
         server, _, _ = served_scan
-        before = _post(server, "/estimate", {"sql": SQL})["estimate"]
+        before = _post(server, "/v1/estimate", {"sql": SQL})["estimate"]
         rows = self._rows(toy_db)
-        inserted = _post(server, "/update", {"table": "B", "rows": rows})
+        inserted = _post(server, "/v1/update", {"table": "B", "rows": rows})
         assert inserted["rows"] == 10
-        deleted = _post(server, "/update",
+        deleted = _post(server, "/v1/update",
                         {"table": "B", "rows": rows, "op": "delete"})
         assert deleted["deleted_rows"] == 10
-        after = _post(server, "/estimate", {"sql": SQL})["estimate"]
+        after = _post(server, "/v1/estimate", {"sql": SQL})["estimate"]
         assert after == pytest.approx(before, rel=1e-9)
 
     def test_update_bad_op_is_400(self, served_scan, toy_db):
         server, _, _ = served_scan
         status, body = _status_of(lambda: _post(
-            server, "/update",
+            server, "/v1/update",
             {"table": "B", "rows": self._rows(toy_db), "op": "upsert"}))
         assert status == 400
-        assert "op" in body["error"]
+        assert "op" in body["error"]["message"]
 
     def test_delete_on_unsupporting_model_is_400(self, served, toy_db):
         server, _, _ = served  # bayescard: no delete support
         rows = {"aid": [1], "cid": [1], "y": [1]}
         status, body = _status_of(lambda: _post(
-            server, "/update",
+            server, "/v1/update",
             {"table": "B", "rows": rows, "op": "delete"}))
         assert status == 400
-        assert "delete" in body["error"]
+        assert "delete" in body["error"]["message"]
 
 
 class TestSnapshotRoute:
@@ -406,17 +420,17 @@ class TestSnapshotRoute:
 
     def test_save_then_restore(self, snapshot_server):
         server, service = snapshot_server
-        _post(server, "/estimate", {"sql": SQL})
+        _post(server, "/v1/estimate", {"sql": SQL})
         saved = _post(server, "/snapshot",
                       {"action": "save", "path": "cache.snap"})
         assert saved["entries"] >= 1
 
         service._cache_of("default").invalidate()
-        assert not _post(server, "/estimate", {"sql": SQL})["cached"]
+        assert not _post(server, "/v1/estimate", {"sql": SQL})["cached"]
         restored = _post(server, "/snapshot",
                          {"action": "restore", "path": "cache.snap"})
         assert restored["entries"] == saved["entries"]
-        assert _post(server, "/estimate", {"sql": SQL})["cached"]
+        assert _post(server, "/v1/estimate", {"sql": SQL})["cached"]
 
     def test_bad_action_is_400(self, snapshot_server):
         server, _ = snapshot_server
@@ -454,7 +468,7 @@ class TestSnapshotRoute:
     def test_fingerprint_mismatch_is_400(self, snapshot_server,
                                          served_scan, tmp_path):
         server_a, _ = snapshot_server
-        _post(server_a, "/estimate", {"sql": SQL})
+        _post(server_a, "/v1/estimate", {"sql": SQL})
         _post(server_a, "/snapshot",
               {"action": "save", "path": "cache.snap"})
 

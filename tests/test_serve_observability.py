@@ -1,5 +1,5 @@
-"""Serving-layer observability: /metrics scrapes, /v1/stats, the /stats
-deprecation shim, request traces over HTTP, and accuracy telemetry."""
+"""Serving-layer observability: /metrics scrapes, /v1/stats, request
+traces over HTTP, and accuracy telemetry."""
 
 import json
 import threading
@@ -55,8 +55,8 @@ def _get_raw(server, path):
 class TestMetricsEndpoint:
     def test_scrape_parses_and_carries_the_families(self, served):
         server, _, _ = served
-        _post(server, "/estimate", {"sql": SQL})
-        _post(server, "/estimate", {"sql": SQL})  # a cache hit
+        _post(server, "/v1/estimate", {"sql": SQL})
+        _post(server, "/v1/estimate", {"sql": SQL})  # a cache hit
         status, headers, text = _get_raw(server, "/metrics")
         assert status == 200
         assert headers["Content-Type"].startswith("text/plain")
@@ -72,7 +72,7 @@ class TestMetricsEndpoint:
 
     def test_latency_histogram_labeled_by_endpoint_and_model(self, served):
         server, service, _ = served
-        _post(server, "/estimate", {"sql": SQL})
+        _post(server, "/v1/estimate", {"sql": SQL})
         text = service.metrics.render_prometheus()
         assert ('repro_request_seconds_count{endpoint="estimate",'
                 'model="default"} 1') in text
@@ -123,7 +123,7 @@ class TestMetricsEndpoint:
 class TestStatsEndpoints:
     def test_v1_stats_exposes_metrics_and_trace_rings(self, served):
         server, _, _ = served
-        _post(server, "/estimate", {"sql": SQL})
+        _post(server, "/v1/estimate", {"sql": SQL})
         body = _get(server, "/v1/stats")
         assert body["api_version"] == "v1"
         assert body["metrics"]["repro_request_seconds"]["kind"] == (
@@ -133,19 +133,17 @@ class TestStatsEndpoints:
         assert body["traces"]["recent"] >= 1
         assert "slow_threshold_ms" in body["traces"]
 
-    def test_legacy_stats_is_a_deprecated_shim(self, served):
+    def test_v1_stats_latency_summary_and_cache_counters(self, served):
         server, _, _ = served
-        _post(server, "/estimate", {"sql": SQL})
-        status, headers, text = _get_raw(server, "/stats")
+        _post(server, "/v1/estimate", {"sql": SQL})
+        status, _, text = _get_raw(server, "/v1/stats")
         assert status == 200
-        assert headers["Deprecation"] == "true"
-        body = json.loads(text)
-        # the exact legacy shape, now derived from the shared registry
-        assert body["estimate_latency"]["count"] == 1
-        assert set(body["estimate_latency"]) >= {"count", "total_seconds",
-                                                 "mean_ms", "p50_ms",
-                                                 "p99_ms"}
-        assert body["caches"]["default"]["hits"] == 0
+        metrics = json.loads(text)["metrics"]
+        summary = metrics["repro_request_seconds"]["summary"]
+        assert summary["count"] == 1
+        assert set(summary) >= {"count", "total", "mean", "p50", "p99"}
+        hits = metrics["repro_cache_hits_total"]["values"]
+        assert hits["level=query,model=default"] == 0
 
 
 class TestTracesOverHttp:
@@ -171,7 +169,7 @@ class TestTracesOverHttp:
     def test_v1_traces_ring(self, served):
         server, _, _ = served
         for _ in range(3):
-            _post(server, "/estimate", {"sql": SQL})
+            _post(server, "/v1/estimate", {"sql": SQL})
         body = _get(server, "/v1/traces?limit=2")
         assert body["api_version"] == "v1"
         assert len(body["traces"]) == 2
@@ -206,7 +204,7 @@ class TestTracesOverHttp:
 class TestAccuracyTelemetry:
     def test_feedback_records_qerror(self, served):
         server, service, model = served
-        est = _post(server, "/estimate", {"sql": SQL})["estimate"]
+        est = _post(server, "/v1/estimate", {"sql": SQL})["estimate"]
         body = _post(server, "/v1/feedback",
                      {"sql": SQL, "true_cardinality": max(est / 2.0, 1.0)})
         assert body["model"] == "default"
@@ -251,7 +249,7 @@ class TestAccuracyTelemetry:
 class TestDriftEndpoints:
     def test_feedback_feeds_drift_and_the_v1_route(self, served):
         server, service, _ = served
-        est = _post(server, "/estimate", {"sql": SQL})["estimate"]
+        est = _post(server, "/v1/estimate", {"sql": SQL})["estimate"]
         for _ in range(12):
             _post(server, "/v1/feedback",
                   {"sql": SQL, "true_cardinality": max(est, 1.0)})
@@ -318,7 +316,7 @@ class TestFlightRecorder:
 
     def test_v1_debug_bundles_carries_feedback_offenders(self, served):
         server, _, _ = served
-        est = _post(server, "/estimate", {"sql": SQL})["estimate"]
+        est = _post(server, "/v1/estimate", {"sql": SQL})["estimate"]
         _post(server, "/v1/feedback",
               {"sql": SQL, "true_cardinality": max(est * 100.0, 1.0)})
         body = _get(server, "/v1/debug/bundles?kind=qerror")

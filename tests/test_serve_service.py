@@ -8,6 +8,7 @@ from repro.core.estimator import FactorJoin, FactorJoinConfig
 from repro.errors import ModelNotFoundError
 from repro.serve import EstimationService
 from repro.sql import parse_query
+from tests.conftest import request_count
 
 SQL = "SELECT COUNT(*) FROM A a, B b WHERE a.id = b.aid AND a.x > 1"
 
@@ -55,9 +56,9 @@ class TestEstimate:
             svc.estimate(SQL)
         assert svc.estimate(SQL, model="a").estimate > 0
 
-    def test_estimate_many(self, service, fitted):
+    def test_repeated_estimate_is_cached(self, service, fitted):
         other = "SELECT COUNT(*) FROM B b, C c WHERE b.cid = c.id"
-        results = service.estimate_many([SQL, other, SQL])
+        results = [service.estimate(sql) for sql in (SQL, other, SQL)]
         assert len(results) == 3
         assert results[2].cached
         assert results[0].estimate == results[2].estimate
@@ -126,20 +127,20 @@ class TestSubplanReuse:
         assert stats["subplan_size"] == 0
         assert stats["subplan_hits"] == 0 and stats["subplan_misses"] == 0
 
-    def test_cache_level_in_describe(self, service):
+    def test_cache_level_in_to_json(self, service):
         service.estimate_subplans(self.BIG)
-        body = service.estimate(self.SMALL).describe()
+        body = service.estimate(self.SMALL).to_json()
         assert body["cache_level"] == "subplan" and body["cached"]
-        assert service.estimate(self.SMALL).describe()[
+        assert service.estimate(self.SMALL).to_json()[
             "cache_level"] == "query"
 
     def test_stats_report_both_levels(self, service):
         service.estimate_subplans(self.BIG)
         service.estimate(self.SMALL)
-        cache_stats = service.stats()["caches"]["default"]
+        cache_stats = service._cache_of("default").stats()
         assert cache_stats["subplan_hits"] >= 1
         assert cache_stats["subplan_size"] >= 5
-        assert service.stats()["subplan_reuse"] is True
+        assert service.stats_v1()["subplan_reuse"] is True
 
 
 class TestUpdate:
@@ -147,15 +148,14 @@ class TestUpdate:
         before = service.estimate(SQL)
         info = service.update("B", toy_db.table("B").head(30))
         after = service.estimate(SQL)
-        assert info["rows"] == 30
+        assert info.rows == 30
         assert not after.cached
         # 30 extra B rows must raise the join estimate
         assert after.estimate > before.estimate
 
     def test_update_latency_recorded(self, service, toy_db):
         service.update("C", toy_db.table("C").head(3))
-        assert service.update_latency.count == 1
-        assert service.stats()["update_latency"]["count"] == 1
+        assert request_count(service, "update") == 1
 
     def test_malformed_insert_rejected_before_mutation(self, service,
                                                        toy_db):
@@ -194,7 +194,7 @@ class TestUpdate:
         from repro.data import Column, Table
         src = toy_db.table("B").head(4)
         shuffled = Table("B", [src["y"], src["aid"], src["cid"]])
-        assert service.update("B", shuffled)["rows"] == 4
+        assert service.update("B", shuffled).rows == 4
 
     def test_non_updatable_estimator_rejected_early(self, service):
         """A table estimator without update support fails cleanly, before
@@ -233,14 +233,14 @@ class TestHotSwap:
 
     def test_stale_record_result_not_cached_after_swap(self, service,
                                                        toy_db):
-        """A computation pinned to a pre-swap record (estimate_many does
-        this deliberately) must not poison the cache for the new
-        version."""
+        """A computation pinned to a pre-swap record (a request whose
+        model was swapped mid-flight) must not poison the cache for the
+        new version."""
         old_record = service.registry.record("default")
         refit = FactorJoin(FactorJoinConfig(n_bins=8)).fit(toy_db)
         service.register("default", refit)
         stale = service._estimate_with(old_record, SQL)
-        assert stale.version == 1                     # batch stays on v1
+        assert stale.version == 1                 # request stays on v1
         fresh = service.estimate(SQL)
         assert fresh.version == 2
         assert not fresh.cached                       # v1's answer dropped
@@ -248,7 +248,7 @@ class TestHotSwap:
 
     def test_pinned_stale_record_never_serves_new_version_cache(
             self, service, toy_db):
-        """A batch pinned to a swapped-out record must not return the new
+        """A request pinned to a swapped-out record must not return the new
         version's cached values labeled with the old version — at either
         cache level."""
         old_record = service.registry.record("default")
@@ -266,10 +266,10 @@ class TestHotSwap:
 
     def test_stats_shape(self, service):
         service.estimate(SQL)
-        stats = service.stats()
+        stats = service.stats_v1()
         assert stats["models"][0]["name"] == "default"
-        assert stats["estimate_latency"]["count"] == 1
-        assert "default" in stats["caches"]
+        assert request_count(service) == 1
+        assert service._cache_of("default").stats()["misses"] == 1
         assert stats["uptime_seconds"] >= 0
 
 
@@ -309,7 +309,7 @@ class TestConcurrency:
             for t in threads:
                 t.join()
         assert not errors
-        assert service.latency.count > 0
+        assert request_count(service) > 0
 
 
 class TestDeletes:
@@ -324,7 +324,7 @@ class TestDeletes:
         mid = svc.estimate(SQL).estimate
         assert mid != before
         summary = svc.update("B", deleted_rows=batch)
-        assert summary["deleted_rows"] == 25 and summary["rows"] == 0
+        assert summary.deleted_rows == 25 and summary.rows == 0
         after = svc.estimate(SQL).estimate
         assert after == pytest.approx(before, rel=1e-9)
 

@@ -93,10 +93,10 @@ class TestRecorder:
         assert service.stop_recording() == 0
 
     def test_stats_expose_recording(self, service, tmp_path):
-        assert service.stats()["recording"] is None
+        assert service.stats_v1()["recording"] is None
         service.start_recording(tmp_path / "w.jsonl")
         service.estimate(SMALL)
-        info = service.stats()["recording"]
+        info = service.stats_v1()["recording"]
         assert info["recorded"] == 1 and info["path"].endswith("w.jsonl")
 
 

@@ -145,10 +145,10 @@ class TestServing:
         before = service.estimate(SQL, model="ens").estimate
         batch = toy_db.table("B").head(10)
         summary = service.update("B", batch, model="ens")
-        assert summary["rows"] == 10
+        assert summary.rows == 10
         after = service.estimate(SQL, model="ens").estimate
         assert after != before
         summary = service.update("B", deleted_rows=batch, model="ens")
-        assert summary["deleted_rows"] == 10
+        assert summary.deleted_rows == 10
         assert service.estimate(SQL, model="ens").estimate == pytest.approx(
             before, rel=1e-12)
