@@ -150,6 +150,10 @@ class ServingHandler(BaseHTTPRequestHandler):
 
     protocol_version = "HTTP/1.1"
     server_version = "repro-serve/1"
+    # TCP_NODELAY on every accepted socket: a reply goes out as two
+    # writes (headers, body), and Nagle would hold the second until the
+    # client's delayed ACK — about 40 ms per keep-alive request
+    disable_nagle_algorithm = True
 
     @property
     def service(self) -> EstimationService:
@@ -162,20 +166,28 @@ class ServingHandler(BaseHTTPRequestHandler):
     # -- plumbing --------------------------------------------------------------
 
     def _reply(self, payload: dict, status: int = 200) -> None:
-        body = json.dumps(payload).encode()
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+        self._send(json.dumps(payload).encode(), status, "application/json")
 
     def _reply_text(self, text: str, status: int = 200,
                     content_type: str = "text/plain; charset=utf-8"
                     ) -> None:
-        body = text.encode()
+        self._send(text.encode(), status, content_type)
+
+    def _send(self, body: bytes, status: int, content_type: str) -> None:
+        if self._body_unread:
+            # a route that never read its body (an unknown route, a GET
+            # with a body) must still consume it, or the next keep-alive
+            # request parses from the leftover bytes; an unreadable body
+            # marks the connection for closing instead
+            try:
+                self._read_body()
+            except ValueError:
+                pass
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
@@ -190,7 +202,14 @@ class ServingHandler(BaseHTTPRequestHandler):
     def _truthy(params: dict, key: str) -> bool:
         return params.get(key, "").lower() in ("1", "true", "yes", "on")
 
-    def _read_json(self) -> dict:
+    def parse_request(self) -> bool:
+        # runs once per request on a keep-alive connection
+        self._body_unread = True
+        return super().parse_request()
+
+    def _read_body(self) -> bytes:
+        """The request's ``Content-Length`` bytes, read once."""
+        self._body_unread = False
         try:
             length = int(self.headers.get("Content-Length", 0))
         except (TypeError, ValueError):
@@ -202,7 +221,10 @@ class ServingHandler(BaseHTTPRequestHandler):
             self.close_connection = True
             raise ValueError(
                 f"Content-Length must be 0..{MAX_BODY_BYTES}, got {length}")
-        body = self.rfile.read(length) if length else b""
+        return self.rfile.read(length) if length else b""
+
+    def _read_json(self) -> dict:
+        body = self._read_body()
         if not body:
             raise ValueError("request body must be a JSON object")
         payload = json.loads(body)

@@ -625,10 +625,10 @@ class EstimationService:
             try:
                 start = time.perf_counter()
                 record = self._resolve(request.model)
+                with trace_span("parse"):
+                    query = coerce_query(request.query)
                 sub = self._subplans_with(SubplanRequest(
-                    query=request.query, model=request.model,
-                    min_tables=1))
-                query = coerce_query(request.query)
+                    query=query, model=request.model, min_tables=1))
                 with trace_span("optimize"):
                     if len(query.aliases) == 1:
                         plan, cost = JoinPlan.leaf(query.aliases[0]), 0.0

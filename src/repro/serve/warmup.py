@@ -28,7 +28,7 @@ import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
-from repro.sql import parse_query
+from repro.api import coerce_query
 
 KIND_ESTIMATE = "estimate"
 KIND_SUBPLANS = "subplans"
@@ -144,7 +144,7 @@ def load_workload(path) -> list[WorkloadEntry]:
                     f"{path}:{lineno}: bad workload line: {exc}") from exc
         else:
             try:
-                parse_query(line)
+                coerce_query(line)
             except Exception:
                 raise ValueError(
                     f"{path}:{lineno}: not a supported workload query"
@@ -218,7 +218,7 @@ def warm_service(service, entries: list[WorkloadEntry],
                 if subplans is False:
                     kind = KIND_ESTIMATE
                 elif subplans and kind == KIND_ESTIMATE and (
-                        parse_query(entry.sql).num_tables() > 1):
+                        coerce_query(entry.sql).num_tables() > 1):
                     # a single-table query's sub-plan map is just itself;
                     # only multi-table estimates warm denser as sub-plans
                     kind = KIND_SUBPLANS

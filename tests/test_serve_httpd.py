@@ -1,7 +1,9 @@
 """Tests for the JSON HTTP API (routes, errors, concurrent clients)."""
 
+import http.client
 import json
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -9,6 +11,7 @@ import pytest
 
 from repro.core.estimator import FactorJoin, FactorJoinConfig
 from repro.serve import EstimationService, serve_in_background
+from repro.serve.httpd import MAX_BODY_BYTES
 from tests.conftest import request_count
 
 SQL = "SELECT COUNT(*) FROM A a, B b WHERE a.id = b.aid AND a.x > 1"
@@ -41,6 +44,11 @@ def _post(server, path, payload):
 def _get(server, path):
     with urllib.request.urlopen(_url(server, path), timeout=10) as resp:
         return json.loads(resp.read())
+
+
+def _connection(server):
+    host, port = server.server_address[:2]
+    return http.client.HTTPConnection(host, port, timeout=5)
 
 
 def _status_of(err_callable):
@@ -312,10 +320,8 @@ class TestErrors:
 
     def test_negative_content_length_rejected(self, served):
         # read(-1) would block until client EOF; must 400 and close instead
-        import http.client
         server, _, _ = served
-        host, port = server.server_address[:2]
-        conn = http.client.HTTPConnection(host, port, timeout=5)
+        conn = _connection(server)
         try:
             conn.putrequest("POST", "/v1/estimate")
             conn.putheader("Content-Length", "-1")
@@ -325,6 +331,74 @@ class TestErrors:
             assert b"Content-Length" in response.read()
         finally:
             conn.close()
+
+
+class TestKeepAlive:
+    @pytest.mark.parametrize("method,path,status", [
+        ("POST", "/nope", 404),      # unknown route: body never read
+        ("GET", "/health", 200),     # a GET carrying a body
+    ])
+    def test_unread_body_does_not_desync_the_connection(
+            self, served, method, path, status):
+        server, _, _ = served
+        conn = _connection(server)
+        try:
+            conn.request(method, path, body=json.dumps({"sql": SQL}))
+            response = conn.getresponse()
+            response.read()
+            assert response.status == status
+            sock = conn.sock
+            conn.request("GET", "/health")
+            response = conn.getresponse()
+            assert response.status == 200
+            assert json.loads(response.read()) == {"ok": True}
+            assert conn.sock is sock
+        finally:
+            conn.close()
+
+    def test_oversized_unread_body_closes_the_connection(self, served):
+        server, _, _ = served
+        conn = _connection(server)
+        try:
+            conn.putrequest("POST", "/nope")
+            conn.putheader("Content-Length", str(MAX_BODY_BYTES + 1))
+            conn.endheaders()
+            response = conn.getresponse()
+            assert response.status == 404
+            assert response.getheader("Connection") == "close"
+            response.read()
+            assert response.will_close
+        finally:
+            conn.close()
+
+    @pytest.mark.parametrize("method,path,payload,status", [
+        ("POST", "/v1/estimate", {"sql": SQL}, 200),        # JSON reply
+        ("GET", "/metrics", None, 200),                      # text reply
+        ("POST", "/v1/estimate", {"sql": "not sql"}, 400),   # parse_error
+    ])
+    def test_fifty_requests_on_one_socket_are_fast(
+            self, served, method, path, payload, status):
+        """Each reply is two writes (headers, body); with Nagle on, the
+        second waits for the client's delayed ACK, about 44 ms a request
+        and over 2 s for these 50."""
+        server, _, _ = served
+        conn = _connection(server)
+        body = None if payload is None else json.dumps(payload)
+        sockets = []
+        try:
+            start = time.perf_counter()
+            for _ in range(50):
+                conn.request(method, path, body=body)
+                response = conn.getresponse()
+                response.read()
+                assert response.status == status
+                sockets.append(conn.sock)
+            elapsed = time.perf_counter() - start
+        finally:
+            conn.close()
+        assert sockets[0] is not None
+        assert all(sock is sockets[0] for sock in sockets)
+        assert elapsed < 1.0
 
 
 class TestConcurrentClients:
