@@ -144,6 +144,7 @@ class FactorJoin:
         self._pairwise_joints: dict[tuple[str, str, str], np.ndarray] = {}
         for table_name in database.table_names:
             self._fit_table(table_name)
+        self._key_conditionals = {}
         self._fitted = True
 
     def build_binnings(self, database: Database) -> dict[str, Binning]:
@@ -395,15 +396,28 @@ class FactorJoin:
 
     def _factor_conditionals(self, table_name: str, vars_q: list[int],
                              chosen_column: dict[int, str]) -> dict:
-        """Chow-Liu key-tree conditionals restricted to the query's vars."""
+        """Chow-Liu key-tree conditionals restricted to the query's vars.
+
+        Each ``P(child | parent)`` is normalized once per statistics
+        version: ``_update_key_joints`` swaps in a fresh cache, so a
+        concurrent reader holding the old one never publishes a stale
+        matrix into the new one.  Cached matrices are read-only because
+        every factor shares them."""
+        cache = self._key_conditionals
         conditionals: dict[tuple[int, int], np.ndarray] = {}
         column_var = {col: var for var, col in chosen_column.items()}
         for parent, child in self._key_trees.get(table_name, []):
             if parent in column_var and child in column_var:
-                joint = self._key_joints[(table_name, parent, child)]
-                row_sums = joint.sum(axis=1, keepdims=True)
-                cond = np.divide(joint, row_sums, out=np.zeros_like(joint),
-                                 where=row_sums > 0)
+                key = (table_name, parent, child)
+                cond = cache.get(key)
+                if cond is None:
+                    joint = self._key_joints[key]
+                    row_sums = joint.sum(axis=1, keepdims=True)
+                    cond = np.divide(joint, row_sums,
+                                     out=np.zeros_like(joint),
+                                     where=row_sums > 0)
+                    cond.flags.writeable = False
+                    cache[key] = cond
                 conditionals[(column_var[parent], column_var[child])] = cond
         return conditionals
 
@@ -497,6 +511,8 @@ class FactorJoin:
                                             joint.shape[1])
             if sign < 0:
                 np.maximum(joint, 0.0, out=joint)
+        # swap, never clear in place (see _factor_conditionals)
+        self._key_conditionals = {}
 
     def _binning_of(self, table_name: str, column: str) -> Binning:
         group = self._group_of_key[(table_name, column)]
@@ -524,8 +540,10 @@ class FactorJoin:
         key trees, and the schema — not the base tables the model was
         fitted on.  Artifacts stay model-sized instead of data-sized, and
         ``update`` keeps working after a reload (the schema survives;
-        rows inserted post-load accumulate into the empty shell)."""
+        rows inserted post-load accumulate into the empty shell).  The
+        derived conditional cache is never pickled."""
         state = dict(self.__dict__)
+        state.pop("_key_conditionals", None)
         db = state.get("_db")
         if db is not None:
             state["_db"] = db.empty_copy()
@@ -535,6 +553,7 @@ class FactorJoin:
         self.__dict__.update(state)
         # artifacts written before pairwise joints existed stay loadable
         self.__dict__.setdefault("_pairwise_joints", {})
+        self._key_conditionals = {}
 
     def __deepcopy__(self, memo):
         """In-memory clones keep the base tables.
@@ -547,7 +566,10 @@ class FactorJoin:
 
         clone = type(self).__new__(type(self))
         memo[id(self)] = clone
-        clone.__dict__ = _copy.deepcopy(self.__dict__, memo)
+        state = dict(self.__dict__)
+        state.pop("_key_conditionals", None)
+        clone.__dict__ = _copy.deepcopy(state, memo)
+        clone._key_conditionals = {}
         return clone
 
     def clone_for_update(self) -> "FactorJoin":
@@ -565,9 +587,11 @@ class FactorJoin:
         clone = type(self).__new__(type(self))
         state = dict(self.__dict__)
         db = state.pop("_db", None)
+        state.pop("_key_conditionals", None)
         clone.__dict__ = _copy.deepcopy(state)
         if db is not None:
             clone.__dict__["_db"] = db
+        clone._key_conditionals = {}
         return clone
 
     def save(self, path, name: str | None = None,
@@ -622,6 +646,7 @@ class FactorJoin:
         model._table_estimators = dict(table_estimators)
         model._key_trees = dict(key_trees)
         model._key_joints = dict(key_joints)
+        model._key_conditionals = {}
         model._pairwise_joints = {}
         model._fitted = True
         model.fit_seconds = fit_seconds

@@ -5,12 +5,19 @@ and attributes (equal-depth discretized) — become nodes of a Chow-Liu tree
 BN.  Filter predicates turn into exact per-code soft evidence, and the
 conditional key distributions FactorJoin needs are read off BN marginals.
 
+A predicate's row count and its key distributions are all read off one
+evidence build and one set of tree messages (a per-thread memo keyed by
+network version and predicate), so ``FactorJoin.base_factor`` probing
+an alias once for its rows and once per join key calibrates once.
+
 Matches the paper's support matrix: conjunctive numeric/categorical filters
 (including single-column disjunctions and IN/BETWEEN) are supported; LIKE
 and cross-column disjunctions raise ``UnsupportedQueryError``.
 """
 
 from __future__ import annotations
+
+import threading
 
 import numpy as np
 
@@ -20,7 +27,7 @@ from repro.data.schema import TableSchema
 from repro.data.table import Table
 from repro.errors import NotFittedError, UnsupportedQueryError
 from repro.estimators.base import BaseTableEstimator, register_estimator
-from repro.factorgraph.bayesnet import TreeBayesNet
+from repro.factorgraph.bayesnet import MessageSet, TreeBayesNet
 from repro.sql.predicates import (
     And,
     Between,
@@ -35,7 +42,7 @@ from repro.sql.predicates import (
     conjoin,
 )
 from repro.stats.discretize import Discretizer
-from repro.utils import resolve_rng
+from repro.utils import resolve_rng, restore_state
 
 
 def _contains_like(pred: Predicate) -> bool:
@@ -63,6 +70,21 @@ class BayesCardEstimator(BaseTableEstimator):
         self._smoothing = smoothing
         self._rng = resolve_rng(seed)
         self._bn: TreeBayesNet | None = None
+        self._probe_memo = threading.local()
+        self._key_domains: dict[str, tuple[Table, np.ndarray]] = {}
+
+    def __getstate__(self):
+        """Derived state (the probe memo, the key-domain constants) is
+        never pickled: it rebuilds on demand, and pickling it would make
+        ``model_size_bytes`` and ``fingerprint`` depend on query history."""
+        state = dict(self.__dict__)
+        del state["_probe_memo"], state["_key_domains"]
+        return state
+
+    def __setstate__(self, state):
+        restore_state(self, state)
+        self._probe_memo = threading.local()
+        self._key_domains = {}
 
     # -- training -------------------------------------------------------------------
 
@@ -164,11 +186,17 @@ class BayesCardEstimator(BaseTableEstimator):
             return weights
         from repro.engine.filter import evaluate_predicate
 
-        tiny = Table("_k", [Column(column, binning.domain)])
+        # the binning's domain and its per-bin value counts are fixed at
+        # fit: build them once per column
+        domain = self._key_domains.get(column)
+        if domain is None:
+            domain = self._key_domains[column] = (
+                Table("_k", [Column(column, binning.domain)]),
+                np.bincount(binning.bin_ids,
+                            minlength=binning.n_bins).astype(float))
+        tiny, per_bin_total = domain
         satisfied = evaluate_predicate(pred, tiny)
         weights = np.zeros(binning.n_bins + 1)
-        per_bin_total = np.bincount(binning.bin_ids,
-                                    minlength=binning.n_bins).astype(float)
         per_bin_hit = np.bincount(binning.bin_ids, weights=satisfied,
                                   minlength=binning.n_bins)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -183,17 +211,28 @@ class BayesCardEstimator(BaseTableEstimator):
             raise NotFittedError("BayesCardEstimator not fitted")
         return self._bn
 
-    def estimate_row_count(self, pred: Predicate) -> float:
+    def _messages(self, pred: Predicate) -> MessageSet:
+        """The evidence and tree messages of ``pred``.
+
+        One entry per thread, keyed by (network version, predicate): a
+        predicate's row count and every key distribution share one
+        evidence build and one message set, and an ``update`` (which
+        bumps the version) retires the entry."""
         bn = self._require_bn()
-        evidence = self._evidence(pred)
-        return bn.probability(evidence) * self._total_rows
+        memo = self._probe_memo
+        messages = getattr(memo, "messages", None)
+        if (messages is None or messages.version != bn.version
+                or memo.pred != pred):
+            messages = bn.messages(self._evidence(pred))
+            memo.pred, memo.messages = pred, messages
+        return messages
+
+    def estimate_row_count(self, pred: Predicate) -> float:
+        return self._messages(pred).probability() * self._total_rows
 
     def key_distribution(self, column: str, pred: Predicate) -> np.ndarray:
-        bn = self._require_bn()
         binning = self._key_binnings[column]
-        evidence = self._evidence(pred)
-        node = self._node_of[column]
-        marginal = bn.marginal(node, evidence)
+        marginal = self._messages(pred).marginal(self._node_of[column])
         # drop the NULL code: NULL keys never join
         return marginal[: binning.n_bins] * self._total_rows
 

@@ -46,7 +46,12 @@ running concurrently with an ``update`` read a consistent model because
 numpy in-place adds on the statistics are the only mutation and the online
 phase never iterates those arrays across release points — the worst case
 is an estimate reflecting a partially applied batch, the same semantics
-the paper's incremental maintenance accepts.
+the paper's incremental maintenance accepts.  Caches *derived* from the
+statistics (normalized conditionals, per-predicate tree messages) are
+invalidated by swapping in a fresh cache object after the statistics
+change, never by clearing in place: a reader captures the cache before
+computing, so a value computed from pre-update counts can only land in
+the discarded object, and no stale value survives the update.
 """
 
 from __future__ import annotations

@@ -16,6 +16,7 @@ from repro.data.table import Table
 from repro.data.types import DataType
 from repro.engine.filter import evaluate_predicate
 from repro.sql.predicates import Predicate
+from repro.utils import restore_state
 
 
 class Discretizer:
@@ -47,6 +48,27 @@ class Discretizer:
         self.n_value_codes = n_value_codes
         self.null_code = n_value_codes
         self.n_codes = n_value_codes + 1
+        self._constants: tuple[Table, np.ndarray] | None = None
+
+    def __getstate__(self):
+        state = dict(self.__dict__)
+        del state["_constants"]
+        return state
+
+    def __setstate__(self, state):
+        restore_state(self, state)
+        self._constants = None
+
+    def _evidence_constants(self) -> tuple[Table, np.ndarray]:
+        """The distinct values as a one-column table and the row count per
+        code: fixed by the fit, so built on first use and never pickled."""
+        if self._constants is None:
+            self._constants = (
+                Table("_d", [Column(self._name, self._distinct,
+                                    self._dtype)]),
+                np.bincount(self._code_of_value, weights=self._counts,
+                            minlength=self.n_value_codes))
+        return self._constants
 
     # -- encoding --------------------------------------------------------------
 
@@ -74,13 +96,11 @@ class Discretizer:
         weights = np.zeros(self.n_codes, dtype=np.float64)
         if len(self._distinct) == 0:
             return weights
-        tiny = Table("_d", [Column(self._name, self._distinct, self._dtype)])
-        satisfied = evaluate_predicate(pred, tiny)
-        per_code_total = np.zeros(self.n_value_codes)
-        per_code_hit = np.zeros(self.n_value_codes)
-        np.add.at(per_code_total, self._code_of_value, self._counts)
-        np.add.at(per_code_hit, self._code_of_value,
-                  self._counts * satisfied)
+        domain, per_code_total = self._evidence_constants()
+        satisfied = evaluate_predicate(pred, domain)
+        per_code_hit = np.bincount(self._code_of_value,
+                                   weights=self._counts * satisfied,
+                                   minlength=self.n_value_codes)
         with np.errstate(divide="ignore", invalid="ignore"):
             frac = np.where(per_code_total > 0,
                             per_code_hit / per_code_total, 0.0)

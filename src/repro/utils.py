@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pickle
+import sys
 import time
 from dataclasses import dataclass
 
@@ -28,6 +29,15 @@ class Timer:
 
     def __exit__(self, *exc) -> None:
         self.elapsed = time.perf_counter() - self._start
+
+
+def restore_state(obj, state: dict) -> None:
+    """Install unpickled ``state`` as pickle's default does, interning the
+    attribute names.  Classes whose ``__setstate__`` rebuilds derived
+    state call this, so their instances share name strings and a reloaded
+    model re-pickles to the bytes (and ``pickled_size_bytes``) it had."""
+    for name, value in state.items():
+        obj.__dict__[sys.intern(name)] = value
 
 
 def pickled_size_bytes(obj) -> int:
