@@ -46,6 +46,7 @@ import itertools
 import threading
 import weakref
 from collections import OrderedDict
+from concurrent.futures import wait
 from dataclasses import dataclass
 from dataclasses import replace as _replace
 from pathlib import Path
@@ -88,6 +89,7 @@ from repro.shard.ensemble import (
     ShardedFactorJoin,
     _assemble_state,
     shard_stats_of,
+    updated_clone,
 )
 from repro.shard.pruning import ShardSummary
 from repro.sql.query import Query
@@ -165,10 +167,7 @@ def _materialize_ledger(ledger: _Ledger, store=None):
         path = store.resolve(path)
     model, _ = load_shard_artifact(path)
     for table, rows, deleted_rows in ledger.journal:
-        if deleted_rows is not None:
-            model.update(table, rows, deleted_rows=deleted_rows)
-        else:
-            model.update(table, rows)
+        model.update(table, rows, deleted_rows=deleted_rows)
     return model
 
 
@@ -274,9 +273,10 @@ class RemoteShardModel:
 
     # -- copy-on-write update (the inherited _apply_update drives this) --------
 
-    def clone_for_update(self) -> "RemoteShardModel":
+    def clone_for_update(self, table_name: str) -> "RemoteShardModel":
         """A pending new version; :meth:`update` registers it worker-side
-        (mirrors ``FactorJoin.clone_for_update`` + ``update``)."""
+        (mirrors ``FactorJoin.clone_for_update`` + ``update``; the worker
+        clones ``table_name``'s statistics from the ``CloneUpdate``)."""
         return RemoteShardModel(self.pool, self.worker_id,
                                 self.shard_index,
                                 _new_token(self.shard_index),
@@ -364,14 +364,14 @@ class _RemoteTableEstimator:
                                   False).dists[column]
 
 
-def _probe_in_context(ctx, remote: RemoteShardModel, table: str, pred,
-                      columns, want_total: bool) -> ProbeResult:
-    """Executor-thread shim for one fanned-out probe: pool executor
-    threads do not inherit the request thread's trace context, so the
-    caller captures it and this re-activates it around the probe —
-    the rpc and worker spans then nest under the request."""
+def _in_context(ctx, fn, *args):
+    """Executor-thread shim for one fanned-out call (a shard probe or a
+    shard update): pool executor threads do not inherit the request
+    thread's trace context, so the caller captures it and this
+    re-activates it around ``fn(*args)`` — the rpc and worker spans then
+    nest under the request."""
     with use_context(ctx):
-        return remote.probe(table, pred, columns, want_total)
+        return fn(*args)
 
 
 def merge_probe_results(results, columns, binnings,
@@ -460,7 +460,7 @@ class ClusterTableEstimator(EnsembleTableEstimator):
         else:
             pool = remotes[0].pool
             ctx = capture_context()
-            futures = [pool.spawn(_probe_in_context, ctx, remote,
+            futures = [pool.spawn(_in_context, ctx, remote.probe,
                                   self._table_name, pred, columns,
                                   want_total)
                        for remote in remotes]
@@ -961,6 +961,28 @@ class ClusterModel(ShardedFactorJoin):
         compaction when ``compact_after`` is configured."""
         super().update(table_name, new_rows, deleted_rows=deleted_rows)
         self._auto_compact()
+
+    def _update_shards(self, state, table_name: str, new_split: dict,
+                       del_split: dict):
+        """Send every owning shard's ``CloneUpdate`` at once (one fan-out
+        task per shard), so the worker round trips overlap each other and
+        the driver's merged-statistics work; the returned join waits for
+        all of them before it reports the first failure in shard order.
+        Crash recovery is per shard, inside :meth:`RemoteShardModel.
+        update`."""
+        ctx = capture_context()
+        futures = {
+            index: self._pool.spawn(_in_context, ctx, updated_clone,
+                                    state.shard_set.model(index),
+                                    table_name, new_split.get(index),
+                                    del_split.get(index))
+            for index in sorted(set(new_split) | set(del_split))}
+
+        def join() -> dict:
+            wait(futures.values())
+            return {index: future.result()
+                    for index, future in futures.items()}
+        return join
 
     def _auto_compact(self) -> None:
         limit = getattr(self, "_compact_after", None)

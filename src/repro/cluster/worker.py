@@ -52,6 +52,7 @@ from repro.cluster.messages import (
 from repro.errors import ReproError
 from repro.obs.drift import NULL_DRIFT, DriftMonitor
 from repro.obs.metrics import MetricsRegistry
+from repro.shard.ensemble import updated_clone
 
 
 def probe_model(model, item: ProbeItem) -> ProbeResult:
@@ -235,15 +236,12 @@ class ShardWorker:
             raise UnknownTokenError(
                 f"worker pid {os.getpid()} holds no shard state "
                 f"{message.base_token!r} to clone")
-        clone = self._model(message.base_token).clone_for_update()
         # FactorJoin.update validates before mutating (and mutates only
-        # the clone), so a failed batch leaves this worker holding
-        # exactly the versions it held before
-        if message.deleted_rows is not None:
-            clone.update(message.table, message.rows,
-                         deleted_rows=message.deleted_rows)
-        else:
-            clone.update(message.table, message.rows)
+        # the table-scoped clone), so a failed batch leaves this worker
+        # holding exactly the versions it held before
+        clone = updated_clone(self._model(message.base_token),
+                              message.table, message.rows,
+                              message.deleted_rows)
         self._slots[message.token] = _Slot(shard_index=base.shard_index,
                                            model=clone)
         self.updates += 1

@@ -260,3 +260,20 @@ class KeyStatistics:
     @property
     def keys(self) -> list[tuple[str, str]]:
         return list(self._per_key)
+
+
+def copy_on_write(key_stats: dict[str, KeyStatistics], table: str,
+                  groups: dict[str, str]) -> dict[str, KeyStatistics]:
+    """``key_stats`` (group name -> statistics) with the :class:`BinStats`
+    of ``table``'s key columns (column -> group name in ``groups``)
+    replaced by copies inside shallow copies of their groups; every other
+    object is shared.  An update may then mutate those ``BinStats`` while
+    ``key_stats`` keeps serving."""
+    out = dict(key_stats)
+    for column, name in groups.items():
+        if out[name] is key_stats[name]:
+            out[name] = key_stats[name].shallow_copy()
+        stats = out[name]
+        stats._per_key[(table, column)] = stats.stats_of(table,
+                                                         column).copy()
+    return out

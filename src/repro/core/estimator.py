@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core import bound as bound_mod
-from repro.core.bin_stats import BinStats, KeyStatistics
+from repro.core.bin_stats import BinStats, KeyStatistics, copy_on_write
 from repro.core.binning import (
     Binning,
     equal_depth_binning,
@@ -560,8 +560,9 @@ class FactorJoin:
 
         Without this, ``copy.deepcopy`` would route through
         ``__getstate__`` and silently drop the database view — the
-        persistence trade-off is for artifacts, not for the ensemble's
-        copy-on-write update path."""
+        persistence trade-off is for artifacts, not for in-memory
+        copies.  (Updates that must leave this model serving use the
+        cheaper :meth:`clone_for_update`.)"""
         import copy as _copy
 
         clone = type(self).__new__(type(self))
@@ -572,25 +573,46 @@ class FactorJoin:
         clone._key_conditionals = {}
         return clone
 
-    def clone_for_update(self) -> "FactorJoin":
-        """Copy whose mutable statistics are independent but whose
-        database view is shared.
+    def clone_for_update(self, table_name: str) -> "FactorJoin":
+        """Copy that ``update(table_name, ...)`` may mutate while this
+        model keeps serving (the ensemble's copy-on-write update path).
 
-        ``update`` only ever *rebinds* ``_db`` (``Database.insert`` /
-        ``delete`` are functional), so sharing the reference is safe and
-        skips duplicating every base-table column — the point of the
-        ensemble's copy-on-write update path.  Estimators are deep
-        copies: several (BayesCard, Histogram1D) mutate their arrays in
-        place."""
+        Only what that update mutates is copied: the table's estimator,
+        the :class:`BinStats` of its key columns (see
+        :func:`~repro.core.bin_stats.copy_on_write`), and its key-tree
+        and pairwise joints.  Everything else — other tables' statistics,
+        the binnings, the key trees, the database view (``update`` only
+        rebinds ``_db``; ``Database.insert``/``delete`` are functional)
+        — is shared by reference, so the copy costs one table, not the
+        model."""
         import copy as _copy
 
+        self._check_fitted()
+        tschema = self._db.schema.table(table_name)
+        key_stats = copy_on_write(self._key_stats, table_name, {
+            column: self._group_of_key[(table_name, column)].name
+            for column in tschema.key_columns})
+        # seed the deepcopy memo with what the estimator shares with the
+        # rest of the model: a copied Binning would be pickled once per
+        # holder (inflating every artifact), and base tables are
+        # immutable (estimators rebind them, as TrueScan does)
+        shared = {id(stats.binning): stats.binning
+                  for stats in self._key_stats.values()}
+        for name in self._db.table_names:
+            table = self._db.table(name)
+            shared[id(table)] = table
+        estimators = dict(self._table_estimators)
+        estimators[table_name] = _copy.deepcopy(estimators[table_name],
+                                                shared)
+
         clone = type(self).__new__(type(self))
-        state = dict(self.__dict__)
-        db = state.pop("_db", None)
-        state.pop("_key_conditionals", None)
-        clone.__dict__ = _copy.deepcopy(state)
-        if db is not None:
-            clone.__dict__["_db"] = db
+        clone.__dict__.update(self.__dict__)
+        clone._key_stats = key_stats
+        clone._table_estimators = estimators
+        clone._key_joints = _copy_table_entries(self._key_joints,
+                                                table_name)
+        clone._pairwise_joints = _copy_table_entries(self._pairwise_joints,
+                                                     table_name)
         clone._key_conditionals = {}
         return clone
 
@@ -745,3 +767,10 @@ class _MinStatsView:
 
 def _min_stats(a: BinStats, b: BinStats) -> _MinStatsView:
     return _MinStatsView(np.minimum(a.mfv, b.mfv), np.minimum(a.ndv, b.ndv))
+
+
+def _copy_table_entries(joints: dict, table_name: str) -> dict:
+    """``joints`` (keyed ``(table, a, b)``) with ``table_name``'s arrays
+    copied and every other table's shared."""
+    return {key: joint.copy() if key[0] == table_name else joint
+            for key, joint in joints.items()}

@@ -50,7 +50,7 @@ from itertools import repeat
 
 import numpy as np
 
-from repro.core.bin_stats import KeyStatistics
+from repro.core.bin_stats import KeyStatistics, copy_on_write
 from repro.core.binning import Binning
 from repro.core.estimator import FactorJoin, FactorJoinConfig
 from repro.data.database import Database
@@ -531,67 +531,21 @@ class ShardedFactorJoin:
 
         # 1. clone + update the owning shards only; FactorJoin.update
         # validates before mutating, and it mutates the clone — a failure
-        # here leaves the published state untouched.  clone_for_update
-        # shares the (immutable) database view, so the copy is
-        # statistics-sized, not data-sized
-        new_models: dict[int, FactorJoin] = {}
-        for index in affected:
-            clone = state.shard_set.model(index).clone_for_update()
-            if index in del_split:
-                clone.update(table_name, new_split.get(index),
-                             deleted_rows=del_split[index])
-            else:
-                clone.update(table_name, new_split[index])
-            new_models[index] = clone
+        # here leaves the published state untouched
+        join = self._update_shards(state, table_name, new_split, del_split)
 
-        # 2. merged key statistics: copy-on-write the affected groups
-        new_key_stats = dict(merged.key_statistics())
-        touched_groups: dict[str, KeyStatistics] = {}
-        for column in tschema.key_columns:
-            group_name = merged.group_name_of(table_name, column)
-            stats = touched_groups.get(group_name)
-            if stats is None:
-                stats = new_key_stats[group_name].shallow_copy()
-                touched_groups[group_name] = stats
-                new_key_stats[group_name] = stats
-            bin_stats = stats.stats_of(table_name, column).copy()
-            if new_rows is not None:
-                bin_stats.insert(
-                    new_rows[column].non_null_values().astype(np.int64))
-            if deleted_rows is not None:
-                bin_stats.delete(
-                    deleted_rows[column].non_null_values().astype(np.int64))
-            stats._per_key[(table_name, column)] = bin_stats
+        # 2. the merged statistics absorb the same delta (while a cluster's
+        # workers are still applying theirs)
+        try:
+            new_key_stats, new_pairs, new_key_joints, new_db = (
+                _merged_delta(state, table_name, tschema, new_rows,
+                              deleted_rows))
+        finally:
+            # always wait for the shards; a shard's own validation error
+            # explains a bad batch better than the driver's
+            new_models = join()
 
-        # 3. merged pairwise joints + the fixed tree's edge conditionals
-        new_pairs = dict(state.merged_pairs)
-        binning_of = {column: new_key_stats[
-            merged.group_name_of(table_name, column)].binning
-            for column in tschema.key_columns}
-        for (tname, col_a, col_b), joint in state.merged_pairs.items():
-            if tname != table_name:
-                continue
-            joint = joint.copy()
-            if new_rows is not None:
-                joint += _pair_histogram(new_rows, col_a, col_b,
-                                         binning_of, joint.shape)
-            if deleted_rows is not None:
-                joint -= _pair_histogram(deleted_rows, col_a, col_b,
-                                         binning_of, joint.shape)
-                np.maximum(joint, 0.0, out=joint)
-            new_pairs[(tname, col_a, col_b)] = joint
-        new_key_joints = dict(merged._key_joints)
-        for parent, child in merged.key_trees().get(table_name, []):
-            pair = _pair_lookup(new_pairs, table_name, parent, child)
-            new_key_joints[(table_name, parent, child)] = (
-                pair[:-1, :-1].copy())
-
-        # 4. database view + shard summaries
-        new_db = merged.database
-        if new_rows is not None:
-            new_db = new_db.insert(table_name, new_rows)
-        if deleted_rows is not None:
-            new_db = new_db.delete(table_name, deleted_rows, strict=False)
+        # 3. shard summaries
         new_summaries = list(state.summaries)
         for index in affected:
             tables = dict(new_summaries[index].tables)
@@ -613,7 +567,7 @@ class ShardedFactorJoin:
             tables[table_name] = summary
             new_summaries[index] = ShardSummary(tables)
 
-        # 5. assemble + publish (single reference swap)
+        # 4. assemble + publish (single reference swap)
         new_shard_set = state.shard_set.replace(new_models)
         self._state = _assemble_state(
             self.config, new_db, self.policy, new_shard_set,
@@ -621,6 +575,21 @@ class ShardedFactorJoin:
             dict(merged.key_trees()), new_key_joints, new_pairs,
             dict(state.supports),
             estimator_cls=type(self).table_estimator_cls)
+
+    def _update_shards(self, state: _EnsembleState, table_name: str,
+                       new_split: dict, del_split: dict):
+        """Clone and update every owning shard (step 1 of
+        :meth:`_apply_update`); returns a zero-argument join that gives
+        ``{index: updated model}`` or raises the first shard's error.
+        Serial in process — each clone is table-scoped, see
+        :meth:`FactorJoin.clone_for_update`; the cluster model overrides
+        this to overlap its workers' round trips."""
+        new_models = {
+            index: updated_clone(state.shard_set.model(index), table_name,
+                                 new_split.get(index),
+                                 del_split.get(index))
+            for index in sorted(set(new_split) | set(del_split))}
+        return lambda: new_models
 
     # ------------------------------------------------------------- hot swap --
 
@@ -1057,6 +1026,64 @@ def _ensemble_estimators(schema: DatabaseSchema, shard_set: ShardSet,
             policy, tschema, binnings,
             supports.get(table_name, (True, True)))
     return estimators
+
+
+def updated_clone(model, table_name: str, rows: Table | None,
+                  deleted_rows: Table | None):
+    """A table-scoped clone of one shard ``model`` with one batch
+    applied; ``model`` itself is untouched."""
+    clone = model.clone_for_update(table_name)
+    clone.update(table_name, rows, deleted_rows=deleted_rows)
+    return clone
+
+
+def _merged_delta(state: _EnsembleState, table_name: str,
+                  tschema: TableSchema, new_rows: Table | None,
+                  deleted_rows: Table | None):
+    """The merged statistics after one batch, copy-on-write: ``(key
+    statistics, pairwise joints, key-tree joints, database view)`` with
+    only ``table_name``'s entries replaced."""
+    merged = state.merged
+    groups = {column: merged.group_name_of(table_name, column)
+              for column in tschema.key_columns}
+    new_key_stats = copy_on_write(merged.key_statistics(), table_name,
+                                  groups)
+    for column, group_name in groups.items():
+        bin_stats = new_key_stats[group_name].stats_of(table_name, column)
+        if new_rows is not None:
+            bin_stats.insert(
+                new_rows[column].non_null_values().astype(np.int64))
+        if deleted_rows is not None:
+            bin_stats.delete(
+                deleted_rows[column].non_null_values().astype(np.int64))
+
+    # pairwise joints + the fixed tree's edge conditionals
+    new_pairs = dict(state.merged_pairs)
+    binning_of = {column: new_key_stats[group_name].binning
+                  for column, group_name in groups.items()}
+    for (tname, col_a, col_b), joint in state.merged_pairs.items():
+        if tname != table_name:
+            continue
+        joint = joint.copy()
+        if new_rows is not None:
+            joint += _pair_histogram(new_rows, col_a, col_b,
+                                     binning_of, joint.shape)
+        if deleted_rows is not None:
+            joint -= _pair_histogram(deleted_rows, col_a, col_b,
+                                     binning_of, joint.shape)
+            np.maximum(joint, 0.0, out=joint)
+        new_pairs[(tname, col_a, col_b)] = joint
+    new_key_joints = dict(merged._key_joints)
+    for parent, child in merged.key_trees().get(table_name, []):
+        pair = _pair_lookup(new_pairs, table_name, parent, child)
+        new_key_joints[(table_name, parent, child)] = pair[:-1, :-1].copy()
+
+    new_db = merged.database
+    if new_rows is not None:
+        new_db = new_db.insert(table_name, new_rows)
+    if deleted_rows is not None:
+        new_db = new_db.delete(table_name, deleted_rows, strict=False)
+    return new_key_stats, new_pairs, new_key_joints, new_db
 
 
 def _pair_lookup(pairs: dict[tuple[str, str, str], np.ndarray],

@@ -232,7 +232,7 @@ class TestDerivedStateNeverPickled:
     def test_clone_for_update_shares_no_cache(self):
         db, model = toy_model()
         before = answers(model)
-        clone = model.clone_for_update()
+        clone = model.clone_for_update("B")
         assert clone._key_conditionals is not model._key_conditionals
         assert (clone.table_estimator("B")._bn._conditionals
                 is not model.table_estimator("B")._bn._conditionals)
