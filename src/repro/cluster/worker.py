@@ -50,7 +50,7 @@ from repro.cluster.messages import (
     WorkerInfo,
 )
 from repro.errors import ReproError
-from repro.obs.drift import NULL_DRIFT, DriftMonitor
+from repro.obs.drift import DriftMonitor
 from repro.obs.metrics import MetricsRegistry
 from repro.shard.ensemble import updated_clone
 
@@ -116,20 +116,17 @@ class ShardWorker:
     registry bit-for-bit at scrape time.
     """
 
-    def __init__(self, store=None, metrics=None, drift=None):
+    def __init__(self, store=None, metrics=None):
         self._slots: dict[str, _Slot] = {}
         self.store = store
         self.probes = 0
         self.updates = 0
         self.fits = 0
         self.metrics = MetricsRegistry() if metrics is None else metrics
-        # shard-scope drift attribution for locally-owned shards; the
-        # driver forwards stamped samples via RecordFeedback and scrapes
-        # with CollectDrift (disabled alongside metrics so the overhead
-        # bench compares genuinely uninstrumented workers)
-        self.drift = (drift if drift is not None
-                      else (DriftMonitor() if self.metrics.enabled
-                            else NULL_DRIFT))
+        # shard-scope drift attribution for locally-owned shards; only
+        # the driver's RecordFeedback feeds it (and CollectDrift scrapes
+        # it), so the driver's telemetry switch decides whether it fills
+        self.drift = DriftMonitor()
         self._handler_seconds = self.metrics.histogram(
             "repro_worker_handler_seconds",
             "Wall time handling each RPC message type, worker-side")

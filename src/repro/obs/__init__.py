@@ -37,7 +37,8 @@ shared, dependency-free instrumentation surface:
 - :mod:`repro.obs.slo` — declared **service-level objectives**
   (availability, latency, q-error) with rolling multi-window burn-rate
   gauges (``repro_slo_burn_rate``), served at ``GET /v1/slo`` and on
-  ``/metrics``.
+  ``/metrics``; its :class:`~repro.obs.slo.RollingWindows` is the one
+  clock-bucketed window helper, shared with drift detection.
 - :mod:`repro.obs.drift` — **drift detection**: a
   :class:`~repro.obs.drift.DriftMonitor` attributes every feedback
   sample (q-error / P-error) per model, shard, table, and query
@@ -55,25 +56,24 @@ shared, dependency-free instrumentation surface:
   (``GET /v1/debug/bundles``, ``repro debug-bundle``).
 
 Instrumentation is **always on and cheap**: spans are plain objects with
-two clock reads, metric updates are one dict operation under a short
-lock, and the no-op twins (:data:`NULL_METRICS`, :data:`NULL_TRACER`,
-:data:`NULL_SLO`) exist so ``benchmarks/bench_obs_overhead.py`` can hold
-the overhead under its <5% QPS gate.
+two clock reads, and metric updates are one dict operation under a short
+lock.  ``metrics.enabled`` is the one telemetry switch: pass
+:data:`NULL_METRICS` (and :data:`NULL_TRACER`, the tracing no-op) and
+the serving layer builds no SLO tracker, drift monitor, alert engine or
+flight recorder unless one is passed in.  That uninstrumented build is
+what ``benchmarks/bench_obs_overhead.py`` holds the <5% QPS gate
+against.
 """
 
 from repro.obs.alerts import (
-    NULL_ALERTS,
     AlertEngine,
     AlertRule,
-    NullAlertEngine,
     default_alert_rules,
 )
 from repro.obs.drift import (
-    NULL_DRIFT,
     DriftMonitor,
     DriftReport,
     DriftSample,
-    NullDriftMonitor,
     empty_drift_snapshot,
     merge_drift_snapshot,
     template_of,
@@ -84,11 +84,7 @@ from repro.obs.export import (
     parse_prometheus_text,
     render_prometheus,
 )
-from repro.obs.flight import (
-    NULL_FLIGHT,
-    FlightRecorder,
-    NullFlightRecorder,
-)
+from repro.obs.flight import FlightRecorder
 from repro.obs.federate import (
     MetricsFederator,
     empty_snapshot,
@@ -107,12 +103,7 @@ from repro.obs.metrics import (
     quantize,
 )
 from repro.obs.profile import ProfileReport, profile_here
-from repro.obs.slo import (
-    NULL_SLO,
-    SLO,
-    NullSloTracker,
-    SloTracker,
-)
+from repro.obs.slo import SLO, SloTracker
 from repro.obs.trace import (
     NULL_TRACER,
     NullTracer,
@@ -149,17 +140,9 @@ __all__ = [
     "merge_snapshot",
     "MetricsFederator",
     "MetricsRegistry",
-    "NULL_ALERTS",
-    "NULL_DRIFT",
-    "NULL_FLIGHT",
     "NULL_METRICS",
-    "NULL_SLO",
     "NULL_TRACER",
-    "NullAlertEngine",
-    "NullDriftMonitor",
-    "NullFlightRecorder",
     "NullMetrics",
-    "NullSloTracker",
     "NullTracer",
     "parse_prometheus_text",
     "percentile_from_counts",

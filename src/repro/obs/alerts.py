@@ -144,8 +144,6 @@ class AlertEngine:
     owns no threads.
     """
 
-    enabled = True
-
     def __init__(self, rules=(), clock=None, exporter=None):
         self._clock = clock if clock is not None else time.monotonic
         self.exporter = exporter
@@ -282,31 +280,3 @@ class AlertEngine:
                     "Alert firing/resolved transitions per rule.",
                     transition_samples))
             return families
-
-
-class NullAlertEngine:
-    """No-op twin of :class:`AlertEngine` (telemetry disabled)."""
-
-    enabled = False
-    exporter = None
-
-    def now(self) -> float:
-        return 0.0
-
-    def add_rule(self, rule) -> None:
-        return None
-
-    def rules(self) -> tuple:
-        return ()
-
-    def evaluate(self, resolver) -> list:
-        return []
-
-    def snapshot(self) -> dict:
-        return {"alerts": [], "firing": 0}
-
-    def collect(self) -> list:
-        return []
-
-
-NULL_ALERTS = NullAlertEngine()

@@ -41,9 +41,9 @@ from __future__ import annotations
 import math
 import threading
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-from repro.obs.slo import BUCKET_SECONDS, DEFAULT_WINDOWS
+from repro.obs.slo import BUCKET_SECONDS, DEFAULT_WINDOWS, RollingWindows
 
 #: Attribution scopes a sample fans out into (see module docstring).
 SCOPES = ("model", "shard", "table", "template")
@@ -270,12 +270,11 @@ class DriftMonitor:
 
     ``clock`` defaults to ``time.monotonic`` and is injectable (it
     stamps samples and ages onsets; bucket math uses the stamps, never
-    the wall clock directly).  ``windows`` / ``bucket_seconds`` follow
-    :mod:`repro.obs.slo`; the shortest window is the "recent" view
-    magnitudes are computed from.
+    the wall clock directly).  ``windows`` / ``bucket_seconds`` feed
+    the :class:`~repro.obs.slo.RollingWindows` the SLO tracker uses
+    too; the shortest window is the "recent" view magnitudes are
+    computed from.
     """
-
-    enabled = True
 
     def __init__(self, windows=DEFAULT_WINDOWS,
                  bucket_seconds: float = BUCKET_SECONDS, clock=None,
@@ -284,11 +283,8 @@ class DriftMonitor:
                  delta: float = PH_DELTA,
                  min_samples: int = MIN_SAMPLES,
                  max_keys: int = MAX_KEYS_PER_SCOPE):
-        self.windows = tuple(windows)
-        self._bucket_seconds = float(bucket_seconds)
-        self._horizon_buckets = int(
-            max(width for _label, width in self.windows)
-            / self._bucket_seconds) + 1
+        self._rolling = RollingWindows(windows, bucket_seconds)
+        self.windows = self._rolling.windows
         self._clock = clock if clock is not None else time.monotonic
         self.threshold = float(threshold)
         self.critical_factor = float(critical_factor)
@@ -357,14 +353,10 @@ class DriftMonitor:
         itself — so no attribution key is ever fed from two processes.
         """
         x = math.log(max(float(sample.value), 1e-300))
-        bucket = int(sample.at / self._bucket_seconds)
         with self._lock:
             for key in self._keys_of(sample, scopes):
                 state = self._state_of(key)
-                cell = state.buckets.get(bucket)
-                if cell is None:
-                    cell = state.buckets[bucket] = [0, 0.0]
-                    self._prune(state, bucket)
+                cell = self._rolling.cell(state.buckets, sample.at)
                 cell[0] += 1
                 cell[1] += x
                 state.n += 1
@@ -378,12 +370,6 @@ class DriftMonitor:
                         state.onset = sample.at
                 else:
                     state.onset = None
-
-    def _prune(self, state: _KeyState, now_bucket: int) -> None:
-        floor = now_bucket - self._horizon_buckets
-        if len(state.buckets) > self._horizon_buckets:
-            for bucket in [b for b in state.buckets if b < floor]:
-                del state.buckets[bucket]
 
     # -- reporting -------------------------------------------------------------
 
@@ -407,16 +393,10 @@ class DriftMonitor:
             merge_drift_snapshot(merged, snapshot)
         return build_report(
             merged, now=self.now(), windows=self.windows,
-            bucket_seconds=self._bucket_seconds,
+            bucket_seconds=self._rolling.bucket_seconds,
             threshold=self.threshold,
             critical_factor=self.critical_factor,
             min_samples=self.min_samples, top=top)
-
-    def collect(self) -> list[tuple[str, str, str, list]]:
-        """Collector hook: this monitor's own families (the serving
-        layer collects through the service so federated worker state
-        rides along; this is the standalone path)."""
-        return self.report().families()
 
 
 def build_report(snapshot: dict, *, now: float, windows=DEFAULT_WINDOWS,
@@ -433,9 +413,8 @@ def build_report(snapshot: dict, *, now: float, windows=DEFAULT_WINDOWS,
     geometric mean (``recent``), ``magnitude`` = recent / baseline, and
     the onset stamp with its age.
     """
-    recent_width = min(width for _label, width in windows)
-    now_bucket = int(now / bucket_seconds)
-    floor = now_bucket - int(recent_width / bucket_seconds)
+    rolling = RollingWindows(windows, bucket_seconds)
+    recent_width = min(width for _label, width in rolling.windows)
     entries = []
     for key, state_tuple in snapshot["keys"].items():
         buckets, n, mean, mhat, mmin, onset = state_tuple
@@ -448,11 +427,8 @@ def build_report(snapshot: dict, *, now: float, windows=DEFAULT_WINDOWS,
             status = "drifting"
         else:
             status = "stable"
-        recent_n, recent_total = 0, 0.0
-        for bucket, (count, total) in buckets.items():
-            if floor < bucket <= now_bucket:
-                recent_n += count
-                recent_total += total
+        recent_n, recent_total = rolling.window_sum(buckets, now,
+                                                    recent_width)
         recent_mean = (recent_total / recent_n) if recent_n else mean
         scope, model, key_name, metric = key
         entries.append({
@@ -474,37 +450,3 @@ def build_report(snapshot: dict, *, now: float, windows=DEFAULT_WINDOWS,
     return DriftReport(entries,
                        dropped_keys=snapshot.get("dropped_keys", 0),
                        top=top)
-
-
-class NullDriftMonitor:
-    """No-op twin of :class:`DriftMonitor` (telemetry disabled)."""
-
-    enabled = False
-    windows = ()
-
-    def now(self) -> float:
-        return 0.0
-
-    def sample_of(self, model, metric, value, shards=(), tables=(),
-                  template="") -> DriftSample:
-        return DriftSample(model=model, metric=metric,
-                           value=float(value), at=0.0)
-
-    def absorb(self, sample, scopes=SCOPES) -> None:
-        return None
-
-    def snapshot(self) -> dict:
-        return empty_drift_snapshot()
-
-    def report(self, extra=(), top: int = 10) -> DriftReport:
-        return DriftReport([])
-
-    def collect(self) -> list:
-        return []
-
-
-NULL_DRIFT = NullDriftMonitor()
-
-
-# re-exported for forwarding call sites that rebuild a sub-sample
-replace_sample = replace

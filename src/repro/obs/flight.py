@@ -29,8 +29,6 @@ DEFAULT_CAPACITY = 16
 class FlightRecorder:
     """Bounded per-kind rings of the worst-scoring debug bundles."""
 
-    enabled = True
-
     def __init__(self, capacity: int = DEFAULT_CAPACITY):
         if capacity < 1:
             raise ValueError("flight recorder capacity must be >= 1")
@@ -98,25 +96,3 @@ class FlightRecorder:
                     for k, heap in sorted(self._heaps.items())
                 },
             }
-
-
-class NullFlightRecorder:
-    """No-op twin of :class:`FlightRecorder` (telemetry disabled)."""
-
-    enabled = False
-    capacity = 0
-
-    def admits(self, kind: str, score: float) -> bool:
-        return False
-
-    def record(self, kind: str, score: float, bundle: dict) -> bool:
-        return False
-
-    def bundles(self, kind=None, limit=None) -> list:
-        return []
-
-    def describe(self) -> dict:
-        return {"capacity": 0, "kinds": {}}
-
-
-NULL_FLIGHT = NullFlightRecorder()

@@ -18,10 +18,11 @@ gauges through the registry's collector hook and a JSON view for
 ``GET /v1/slo``, which is the signal ROADMAP open item 4's adaptive
 refresh is meant to consume.
 
-The clock is injectable so tests drive windows deterministically.
-Recording is two dict updates under one lock — cheap enough for the
-per-request hot path; :data:`NULL_SLO` is the no-op twin used when
-telemetry is disabled wholesale.
+The bucket arithmetic lives in :class:`RollingWindows`, which
+:class:`~repro.obs.drift.DriftMonitor` shares.  The clock is injectable
+so tests drive windows deterministically.  Recording is two dict updates
+under one lock — cheap enough for the per-request hot path.  With
+telemetry off, the serving layer builds no tracker at all.
 """
 
 from __future__ import annotations
@@ -67,6 +68,56 @@ class SLO:
                 "description": self.description}
 
 
+class RollingWindows:
+    """Clock-bucketed rolling windows over ``{bucket: cell}`` dicts.
+
+    A cell is a two-number list — ``[good, bad]`` for an SLO,
+    ``[count, total_log]`` for a drift key — and instant ``at`` lands in
+    bucket ``int(at / bucket_seconds)``.  A dict keeps at most the
+    longest window's worth of buckets plus the current one, so memory
+    stays bounded however long the process runs.
+    """
+
+    __slots__ = ("windows", "bucket_seconds", "horizon")
+
+    def __init__(self, windows=DEFAULT_WINDOWS,
+                 bucket_seconds: float = BUCKET_SECONDS):
+        self.windows = tuple(windows)
+        self.bucket_seconds = float(bucket_seconds)
+        self.horizon = int(max(width for _label, width in self.windows)
+                           / self.bucket_seconds) + 1
+
+    def bucket_of(self, at: float) -> int:
+        return int(at / self.bucket_seconds)
+
+    def cell(self, buckets: dict, at: float) -> list:
+        """The cell holding instant ``at``, created as ``[0, 0]`` on first
+        touch, which is also when buckets past the horizon are pruned."""
+        bucket = self.bucket_of(at)
+        cell = buckets.get(bucket)
+        if cell is None:
+            cell = buckets[bucket] = [0, 0]
+            if len(buckets) > self.horizon:
+                floor = bucket - self.horizon
+                for stale in [b for b in buckets if b < floor]:
+                    del buckets[stale]
+        return cell
+
+    def window_sum(self, buckets: dict, now: float, width: float
+                   ) -> tuple:
+        """Element-wise cell sums over the trailing ``width`` seconds
+        ending at ``now``, added in the dict's iteration order (so float
+        sums are reproducible bit for bit)."""
+        now_bucket = self.bucket_of(now)
+        floor = now_bucket - int(width / self.bucket_seconds)
+        first = second = 0
+        for bucket, (a, b) in buckets.items():
+            if floor < bucket <= now_bucket:
+                first += a
+                second += b
+        return first, second
+
+
 class _SloState:
     __slots__ = ("slo", "buckets", "good_total", "bad_total")
 
@@ -85,15 +136,10 @@ class SloTracker:
     bounds memory at (longest window / bucket width) entries per SLO.
     """
 
-    enabled = True
-
     def __init__(self, windows=DEFAULT_WINDOWS,
                  bucket_seconds: float = BUCKET_SECONDS, clock=None):
-        self.windows = tuple(windows)
-        self._bucket_seconds = float(bucket_seconds)
-        self._horizon_buckets = int(
-            max(width for _label, width in self.windows)
-            / self._bucket_seconds) + 1
+        self._rolling = RollingWindows(windows, bucket_seconds)
+        self.windows = self._rolling.windows
         self._clock = clock if clock is not None else time.monotonic
         self._lock = threading.Lock()
         self._states: dict[str, _SloState] = {}
@@ -112,11 +158,7 @@ class SloTracker:
 
     def _record_locked(self, state: _SloState, good: bool,
                        n: int = 1) -> None:
-        bucket = int(self._clock() / self._bucket_seconds)
-        cell = state.buckets.get(bucket)
-        if cell is None:
-            cell = state.buckets[bucket] = [0, 0]
-            self._prune(state, bucket)
+        cell = self._rolling.cell(state.buckets, self._clock())
         if good:
             cell[0] += n
             state.good_total += n
@@ -141,26 +183,12 @@ class SloTracker:
             self._record_locked(state, good)
         return good
 
-    def _prune(self, state: _SloState, now_bucket: int) -> None:
-        floor = now_bucket - self._horizon_buckets
-        if len(state.buckets) > self._horizon_buckets:
-            for bucket in [b for b in state.buckets if b < floor]:
-                del state.buckets[bucket]
-
     def window_counts(self, name: str, window_seconds: float
                       ) -> tuple[int, int]:
         """``(good, bad)`` totals over the trailing window."""
         with self._lock:
-            state = self._states[name]
-            now_bucket = int(self._clock() / self._bucket_seconds)
-            floor = now_bucket - int(window_seconds
-                                     / self._bucket_seconds)
-            good = bad = 0
-            for bucket, (g, b) in state.buckets.items():
-                if floor < bucket <= now_bucket:
-                    good += g
-                    bad += b
-        return good, bad
+            return self._rolling.window_sum(
+                self._states[name].buckets, self._clock(), window_seconds)
 
     def burn_rate(self, name: str, window_seconds: float) -> float:
         """Error-budget burn over the trailing window: the window's
@@ -240,35 +268,3 @@ class SloTracker:
              "(1.0 = burning exactly at budget)",
              burn_samples),
         ]
-
-
-class NullSloTracker:
-    """No-op twin of :class:`SloTracker` (telemetry disabled)."""
-
-    enabled = False
-    windows = ()
-
-    def declare(self, name, objective, threshold=None,
-                description="") -> None:
-        return None
-
-    def record(self, name, good, n=1) -> None:
-        return None
-
-    def record_value(self, name, value) -> bool:
-        return True
-
-    def window_counts(self, name, window_seconds) -> tuple[int, int]:
-        return 0, 0
-
-    def burn_rate(self, name, window_seconds) -> float:
-        return 0.0
-
-    def snapshot(self) -> dict:
-        return {"slos": []}
-
-    def collect(self) -> list:
-        return []
-
-
-NULL_SLO = NullSloTracker()

@@ -80,24 +80,15 @@ from repro.api import (
 )
 from repro.data.table import Table
 from repro.errors import DataError, UnsupportedOperationError
-from repro.obs.alerts import (
-    NULL_ALERTS,
-    AlertEngine,
-    default_alert_rules,
-)
-from repro.obs.drift import (
-    NULL_DRIFT,
-    DriftMonitor,
-    template_of,
-)
-from repro.obs.flight import NULL_FLIGHT, FlightRecorder
+from repro.obs.alerts import AlertEngine, default_alert_rules
+from repro.obs.drift import DriftMonitor, DriftReport, template_of
+from repro.obs.flight import FlightRecorder
 from repro.obs.metrics import (
     QERROR_BUCKETS,
     Histogram,
     MetricsRegistry,
 )
 from repro.obs.slo import (
-    NULL_SLO,
     PLAN_QUALITY_OBJECTIVE,
     PLAN_QUALITY_THRESHOLD,
     SloTracker,
@@ -133,23 +124,27 @@ class EstimationService:
         (equivalent to calling :meth:`start_recording` after construction).
     metrics:
         The :class:`~repro.obs.metrics.MetricsRegistry` to instrument
-        against (a fresh one by default; pass
-        :data:`~repro.obs.metrics.NULL_METRICS` to disable telemetry).
+        against (a fresh one by default).  Its ``enabled`` flag is the
+        telemetry switch: pass :data:`~repro.obs.metrics.NULL_METRICS`
+        to turn telemetry off, which also leaves ``slo`` None.
     tracer:
         The :class:`~repro.obs.trace.Tracer` recording per-request span
         trees (a fresh one by default; pass
         :data:`~repro.obs.trace.NULL_TRACER` to disable tracing).
     drift:
         The :class:`~repro.obs.drift.DriftMonitor` attributing feedback
-        accuracy per model/shard/table/template (a fresh one by default
-        when metrics are enabled; tests inject fake-clock monitors).
+        accuracy per model/shard/table/template (tests inject fake-clock
+        monitors).  Defaults to a fresh one, or to None when telemetry
+        is off.
     alerts:
         The :class:`~repro.obs.alerts.AlertEngine` evaluated by
-        :meth:`evaluate_alerts` (defaults to one loaded with
-        :func:`~repro.obs.alerts.default_alert_rules`).
+        :meth:`evaluate_alerts`.  Defaults to one loaded with
+        :func:`~repro.obs.alerts.default_alert_rules`, or to None when
+        telemetry is off.
     flight:
         The :class:`~repro.obs.flight.FlightRecorder` keeping
-        worst-offender debug bundles by q-error and latency.
+        worst-offender debug bundles by q-error and latency.  Defaults
+        to a fresh one, or to None when telemetry is off.
     """
 
     def __init__(self, registry: ModelRegistry | None = None,
@@ -195,9 +190,7 @@ class EstimationService:
         self._feedback_total = self.metrics.counter(
             "repro_feedback_total",
             "Ground-truth feedback samples absorbed, per model.")
-        # bound (endpoint, model) latency children: the per-request
-        # observe then skips label sorting and child lookup (a benign
-        # race on setdefault hands back equivalent handles)
+        # bound (endpoint, model) latency children (see _account)
         self._bound_latency: dict[tuple[str, str], object] = {}
         # scrape-time collectors: these metrics' source of truth lives
         # behind other components' locks (cache counters, registry
@@ -206,43 +199,40 @@ class EstimationService:
         self.metrics.register_collector(self._collect_cache_metrics)
         self.metrics.register_collector(self._collect_registry_metrics)
         self.metrics.register_collector(self._collect_model_metrics)
-        # declared objectives over the signals above: availability and
-        # latency from the request paths, accuracy from /v1/feedback;
-        # burn rates export via the collector (repro_slo_burn_rate) and
-        # GET /v1/slo.  Disabled alongside metrics so the overhead bench
-        # compares genuinely uninstrumented serving.
-        self.slo = SloTracker() if self.metrics.enabled else NULL_SLO
-        self.slo.declare(
-            "availability", objective=0.999,
-            description="Requests answered without error")
-        self.slo.declare(
-            "latency", objective=0.99, threshold=0.1,
-            description="Estimation requests answered within 100 ms")
-        self.slo.declare(
-            "qerror", objective=0.9, threshold=10.0,
-            description="Feedback q-errors within 10x of ground truth")
-        self.slo.declare(
-            "plan_quality", objective=PLAN_QUALITY_OBJECTIVE,
-            threshold=PLAN_QUALITY_THRESHOLD,
-            description="Plan-cost feedback P-errors within "
-                        f"{PLAN_QUALITY_THRESHOLD}x of the truecard-"
-                        "oracle plan")
-        self.metrics.register_collector(self.slo.collect)
-        # drift attribution, alerting, and the flight recorder ride the
-        # same enablement switch as the rest of the telemetry; each is
-        # injectable so tests (and the detection bench) drive them with
-        # fake clocks
-        self.drift = (drift if drift is not None
-                      else (DriftMonitor() if self.metrics.enabled
-                            else NULL_DRIFT))
-        self.alerts = (alerts if alerts is not None
-                       else (AlertEngine(rules=default_alert_rules())
-                             if self.metrics.enabled else NULL_ALERTS))
-        self.flight = (flight if flight is not None
-                       else (FlightRecorder() if self.metrics.enabled
-                             else NULL_FLIGHT))
-        self.metrics.register_collector(self._collect_drift_metrics)
-        self.metrics.register_collector(self.alerts.collect)
+        # declared objectives over the signals above (availability and
+        # latency from the request paths, accuracy from /v1/feedback),
+        # drift attribution, alerting, and the flight recorder.  With
+        # telemetry on, a default is built for every component not
+        # passed in (tests and the detection bench inject fake-clock
+        # ones); with it off none is, and an absent component is None,
+        # so the overhead bench compares genuinely uninstrumented
+        # serving.
+        self.slo = None
+        if self.metrics.enabled:
+            self.slo = SloTracker()
+            self.slo.declare(
+                "availability", objective=0.999,
+                description="Requests answered without error")
+            self.slo.declare(
+                "latency", objective=0.99, threshold=0.1,
+                description="Estimation requests answered within 100 ms")
+            self.slo.declare(
+                "qerror", objective=0.9, threshold=10.0,
+                description="Feedback q-errors within 10x of ground truth")
+            self.slo.declare(
+                "plan_quality", objective=PLAN_QUALITY_OBJECTIVE,
+                threshold=PLAN_QUALITY_THRESHOLD,
+                description="Plan-cost feedback P-errors within "
+                            f"{PLAN_QUALITY_THRESHOLD}x of the truecard-"
+                            "oracle plan")
+            drift = DriftMonitor() if drift is None else drift
+            alerts = (AlertEngine(rules=default_alert_rules())
+                      if alerts is None else alerts)
+            flight = FlightRecorder() if flight is None else flight
+            self.metrics.register_collector(self.slo.collect)
+            self.metrics.register_collector(self._collect_drift_metrics)
+            self.metrics.register_collector(alerts.collect)
+        self.drift, self.alerts, self.flight = drift, alerts, flight
         self._alert_ticker: threading.Thread | None = None
         self._alert_ticker_stop: threading.Event | None = None
         self.started_at = time.time()
@@ -250,16 +240,34 @@ class EstimationService:
         if record_path is not None:
             self.start_recording(record_path)
 
-    def _latency_bound(self, endpoint: str, model: str):
-        """The pre-resolved ``repro_request_seconds`` child for one
-        (endpoint, model) pair — the request hot path's observe handle."""
+    def _account(self, endpoint: str, model: str | None = None,
+                 seconds: float | None = None) -> None:
+        """Record one served request's outcome, exactly once, inside its
+        trace: the ``repro_request_seconds`` observation (with the trace
+        id as exemplar), the availability SLO, and — for reads — the
+        latency SLO.  Called without ``model``/``seconds`` when the
+        request raised, which records availability as bad."""
+        slo = self.slo
+        if slo is None:  # telemetry off
+            return
+        if seconds is None:
+            slo.record("availability", False)
+            return
+        # pre-resolved (endpoint, model) children skip label sorting and
+        # child lookup (a benign race on setdefault hands back
+        # equivalent handles)
         key = (endpoint, model)
         bound = self._bound_latency.get(key)
         if bound is None:
             bound = self._bound_latency.setdefault(
                 key, self._request_seconds.bound(endpoint=endpoint,
                                                  model=model))
-        return bound
+        # the exemplar links this observation's bucket to its trace, so
+        # a slow p99 bucket on a dashboard resolves to a concrete trace
+        bound.observe(seconds, trace_id=current_trace_id())
+        slo.record("availability", True)
+        if endpoint != "update":
+            slo.record_value("latency", seconds)
 
     # -- model management ------------------------------------------------------
 
@@ -369,8 +377,9 @@ class EstimationService:
                     requested_model=request.model,
                     explain=request.explain)
             except Exception:
-                self.slo.record("availability", False)
+                self._account("estimate")
                 raise
+            self._account("estimate", response.model, response.seconds)
         response = self._attach_trace(response, root,
                                       want_tree=request.trace)
         self._flight_latency(response, root)
@@ -382,7 +391,8 @@ class EstimationService:
         tracer if :meth:`_attach_trace` did not already) is assembled
         only for admitted offenders."""
         seconds = response.seconds
-        if seconds is None or not self.flight.admits("latency", seconds):
+        if self.flight is None or seconds is None or \
+                not self.flight.admits("latency", seconds):
             return
         trace = response.trace
         if trace is None and root is not None:
@@ -492,12 +502,6 @@ class EstimationService:
             trace = with_cache_level(
                 build_explain_trace(record.model, query), cache_level)
         seconds = time.perf_counter() - start
-        # the exemplar links this observation's bucket to its trace, so
-        # a slow p99 bucket on a dashboard resolves to a concrete trace
-        self._latency_bound("estimate", record.name).observe(
-            seconds, trace_id=current_trace_id())
-        self.slo.record("availability", True)
-        self.slo.record_value("latency", seconds)
         return EstimateResponse(estimate=value, model=record.name,
                                 version=record.version,
                                 cached=cache_level is not None,
@@ -536,10 +540,12 @@ class EstimationService:
         with self.tracer.trace("request.subplans",
                                model=request.model or ""):
             try:
-                return self._subplans_with(request)
+                response = self._subplans_with(request)
             except Exception:
-                self.slo.record("availability", False)
+                self._account("subplans")
                 raise
+            self._account("subplans", response.model, response.seconds)
+        return response
 
     def _subplans_with(self, request: SubplanRequest) -> SubplanResponse:
         start = time.perf_counter()
@@ -594,10 +600,6 @@ class EstimationService:
                          if s in skeys}, stamp=stamp, shards=shards)
         self._record(KIND_SUBPLANS, query, model, min_tables=min_tables)
         seconds = time.perf_counter() - start
-        self._latency_bound("subplans", record.name).observe(
-            seconds, trace_id=current_trace_id())
-        self.slo.record("availability", True)
-        self.slo.record_value("latency", seconds)
         # a copied map: callers mutating their result must not poison
         # the cache
         return SubplanResponse(subplans=dict(value), model=record.name,
@@ -643,11 +645,10 @@ class EstimationService:
                     hints = hints_of(plan, sub.subplans)
                     text = render_hints(hints, request.dialect)
             except Exception:
-                self.slo.record("availability", False)
+                self._account("plan")
                 raise
             seconds = time.perf_counter() - start
-            self._latency_bound("plan", record.name).observe(
-                seconds, trace_id=current_trace_id())
+            self._account("plan", record.name, seconds)
         trace = None
         if request.trace and root is not None:
             trace_record = self.tracer.record_of(root)
@@ -729,10 +730,12 @@ class EstimationService:
         with self.tracer.trace("request.update",
                                model=request.model or ""):
             try:
-                return self._update_with(request)
+                response = self._update_with(request)
             except Exception:
-                self.slo.record("availability", False)
+                self._account("update")
                 raise
+            self._account("update", response.model, response.seconds)
+        return response
 
     def _update_with(self, request: UpdateRequest) -> UpdateResponse:
         start = time.perf_counter()
@@ -772,9 +775,6 @@ class EstimationService:
                 # snapshot that concurrent GET /v1/models responses iterate
                 self._mutated_records.add((record.name, record.version))
         seconds = time.perf_counter() - start
-        self._latency_bound("update", record.name).observe(
-            seconds, trace_id=current_trace_id())
-        self.slo.record("availability", True)
         return UpdateResponse(
             model=record.name,
             version=record.version,
@@ -877,13 +877,15 @@ class EstimationService:
                     self._shard_qerror.observe(error, model=record.name,
                                                shard=shard)
                 self._feedback_total.inc(model=record.name)
-                self.slo.record_value("qerror", error)
                 if plan_error is not None:
                     self._perror.observe(plan_error,
                                          trace_id=current_trace_id(),
                                          model=record.name)
-                    self.slo.record_value("plan_quality", plan_error)
-                if self.drift.enabled:
+                if self.slo is not None:
+                    self.slo.record_value("qerror", error)
+                    if plan_error is not None:
+                        self.slo.record_value("plan_quality", plan_error)
+                if self.drift is not None:
                     tables = tuple(sorted(
                         {query.table_of(a) for a in query.aliases}))
                     sample = self.drift.sample_of(
@@ -893,7 +895,8 @@ class EstimationService:
                     if plan_error is not None:
                         self._absorb_drift(record.model, replace(
                             sample, metric="perror", value=plan_error))
-            if self.flight.enabled and self.flight.admits("qerror", error):
+            if self.flight is not None and \
+                    self.flight.admits("qerror", error):
                 self.flight.record("qerror", error, {
                     "sql": query.to_sql(),
                     "model": record.name,
@@ -976,7 +979,9 @@ class EstimationService:
         """The merged :class:`~repro.obs.drift.DriftReport` over the
         service's own monitor plus every cluster-backed model's
         federated worker snapshots — one view regardless of where the
-        attribution keys live."""
+        attribution keys live (an empty report with telemetry off)."""
+        if self.drift is None:
+            return DriftReport([])
         return self.drift.report(extra=self._drift_extras(), top=top)
 
     def drift_v1(self, top: int = 10) -> dict:
@@ -994,6 +999,8 @@ class EstimationService:
         :mod:`repro.obs.alerts`)."""
         from repro.api import API_VERSION
 
+        if self.alerts is None:
+            return {"api_version": API_VERSION, "alerts": [], "firing": 0}
         return {"api_version": API_VERSION, **self.alerts.snapshot()}
 
     def debug_bundles_v1(self, kind: str | None = None,
@@ -1003,6 +1010,9 @@ class EstimationService:
         or both), worst first, plus occupancy counts."""
         from repro.api import API_VERSION
 
+        if self.flight is None:
+            return {"api_version": API_VERSION,
+                    "recorder": {"capacity": 0, "kinds": {}}, "bundles": []}
         return {"api_version": API_VERSION,
                 "recorder": self.flight.describe(),
                 "bundles": self.flight.bundles(kind=kind, limit=limit)}
@@ -1012,7 +1022,7 @@ class EstimationService:
         telemetry (see :mod:`repro.obs.alerts` for the grammar);
         ``report`` is this tick's drift report, computed once."""
         kind, _, rest = spec.partition(":")
-        if kind == "slo_burn":
+        if kind == "slo_burn" and self.slo is not None:
             name, _, window = rest.partition(":")
             for label, width in self.slo.windows:
                 if label == window:
@@ -1050,7 +1060,7 @@ class EstimationService:
         events.  The serving loop drives this via
         :meth:`start_alert_ticker`; tests call it directly under a fake
         clock."""
-        if not self.alerts.enabled:
+        if self.alerts is None:
             return []
         report = self.drift_report()
         return self.alerts.evaluate(
@@ -1061,7 +1071,7 @@ class EstimationService:
         ``interval`` seconds (idempotent; no-op when alerting is
         disabled).  ``repro serve`` starts one and stops it on
         shutdown."""
-        if not self.alerts.enabled or self._alert_ticker is not None:
+        if self.alerts is None or self._alert_ticker is not None:
             return
         stop = threading.Event()
 
@@ -1190,7 +1200,10 @@ class EstimationService:
         :mod:`repro.obs.slo`)."""
         from repro.api import API_VERSION
 
-        return {"api_version": API_VERSION, **self.slo.snapshot()}
+        return {"api_version": API_VERSION, **self._slo_snapshot()}
+
+    def _slo_snapshot(self) -> dict:
+        return {"slos": []} if self.slo is None else self.slo.snapshot()
 
     def _workers_overview(self) -> dict | None:
         """Per-model worker rows for the ``/v1/stats`` ``workers``
@@ -1289,8 +1302,6 @@ class EstimationService:
         """Scrape-time collector: ``repro_drift_*`` families from the
         merged drift report (the service's own monitor plus federated
         worker snapshots), so ``/metrics`` and ``/v1/drift`` agree."""
-        if not self.drift.enabled:
-            return []
         return self.drift_report().families()
 
     def stats_v1(self) -> dict:
@@ -1315,6 +1326,6 @@ class EstimationService:
                            "recorded": recorder.recorded}),
             "metrics": self.metrics.to_json(),
             "traces": self.tracer.log.describe(),
-            "slo": self.slo.snapshot(),
+            "slo": self._slo_snapshot(),
             "workers": self._workers_overview(),
         }

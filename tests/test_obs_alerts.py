@@ -10,7 +10,6 @@ from repro.obs import JsonlEventExporter
 from repro.obs.alerts import (
     AlertEngine,
     AlertRule,
-    NullAlertEngine,
     default_alert_rules,
 )
 
@@ -188,9 +187,3 @@ class TestDefaults:
             assert rule.threshold == 10.0
         assert rules["drift-critical"].signal == "drift:critical"
         assert rules["drift-critical"].severity == "page"
-
-    def test_null_engine_is_inert(self):
-        null = NullAlertEngine()
-        assert null.evaluate(lambda s: 100.0) == []
-        assert null.snapshot()["firing"] == 0
-        assert null.collect() == []

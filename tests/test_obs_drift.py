@@ -12,7 +12,6 @@ from repro.obs.drift import (
     OVERFLOW_KEY,
     DriftMonitor,
     DriftReport,
-    NullDriftMonitor,
     build_report,
     empty_drift_snapshot,
     merge_drift_snapshot,
@@ -263,10 +262,3 @@ class TestReportShapes:
         report = build_report(snapshot, now=10.0)
         by_model = {e["model"]: e["status"] for e in report.entries}
         assert by_model == {"m": "drifting", "m2": "critical"}
-
-    def test_null_monitor_is_inert(self):
-        null = NullDriftMonitor()
-        null.absorb(null.sample_of("m", "qerror", 100.0))
-        assert null.snapshot() == empty_drift_snapshot()
-        assert null.report().entries == []
-        assert null.collect() == []

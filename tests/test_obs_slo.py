@@ -7,11 +7,11 @@ import math
 import pytest
 
 from repro.obs import JsonlTraceExporter, Tracer, parse_prometheus_text
+from repro.obs.drift import DriftMonitor
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.slo import (
     BUCKET_SECONDS,
     DEFAULT_WINDOWS,
-    NULL_SLO,
     SLO,
     SloTracker,
 )
@@ -90,13 +90,30 @@ class TestWindowMath:
         assert entry["good_total"] == 1 and entry["bad_total"] == 1
         assert entry["windows"]["6h"]["bad"] == 0
 
-    def test_bucket_memory_is_bounded(self, tracker, clock):
+    @pytest.mark.parametrize("owner", [SloTracker, DriftMonitor],
+                             ids=lambda cls: cls.__name__)
+    def test_bucket_memory_is_bounded(self, owner, clock):
+        """Both users of the shared rolling window prune to it."""
+        if owner is SloTracker:
+            tracker = SloTracker(clock=clock)
+            tracker.declare("availability", 0.999)
+
+            def record():
+                tracker.record("availability", True)
+            buckets = tracker._states["availability"].buckets
+        else:
+            monitor = DriftMonitor(clock=clock)
+
+            def record():
+                monitor.absorb(monitor.sample_of("m", "qerror", 2.0),
+                               scopes=("model",))
+            record()
+            buckets = monitor._keys[("model", "m", "", "qerror")].buckets
         horizon = max(width for _label, width in DEFAULT_WINDOWS)
         for _ in range(int(2 * horizon / BUCKET_SECONDS)):
-            tracker.record("availability", True)
+            record()
             clock.advance(BUCKET_SECONDS)
-        state = tracker._states["availability"]
-        assert len(state.buckets) <= horizon / BUCKET_SECONDS + 2
+        assert len(buckets) <= horizon / BUCKET_SECONDS + 2
 
     def test_near_zero_budget_burns_enormously_on_any_error(self, clock):
         tracker = SloTracker(clock=clock)
@@ -138,17 +155,6 @@ class TestExport:
         tracker.record("availability", True)
         payload = json.dumps(tracker.snapshot())
         assert "availability" in payload
-
-
-class TestNullSlo:
-    def test_null_tracker_is_inert(self):
-        NULL_SLO.declare("anything", 0.9)
-        NULL_SLO.record("anything", False)
-        assert NULL_SLO.record_value("anything", 1e9) is True
-        assert NULL_SLO.burn_rate("anything", 300.0) == 0.0
-        assert NULL_SLO.snapshot() == {"slos": []}
-        assert NULL_SLO.collect() == []
-        assert not NULL_SLO.enabled
 
 
 class TestTraceLogRotation:
