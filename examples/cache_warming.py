@@ -52,9 +52,8 @@ def timed(service, queries) -> tuple[list[float], list[float]]:
     return latencies, answers
 
 
-def main() -> None:
+def run(workdir: Path) -> None:
     db = build_database()
-    workdir = Path(tempfile.mkdtemp(prefix="repro-warming-"))
     artifact = workdir / "orders.fj"
     workload_log = workdir / "workload.jsonl"
 
@@ -109,6 +108,11 @@ def main() -> None:
     stats = warmed._cache_of("orders").stats()
     print(f"  warm cache stats:      {stats['subplan_hits']} sub-plan hits, "
           f"{stats['hits']} query-level hits")
+
+
+def main() -> None:
+    with tempfile.TemporaryDirectory(prefix="repro-warming-") as workdir:
+        run(Path(workdir))
 
 
 if __name__ == "__main__":

@@ -30,11 +30,10 @@ from repro.shard import (
 )
 
 
-def main() -> None:
+def run(workdir: Path) -> None:
     context = make_context("stats", scale=0.2, seed=0, max_tables=4)
     config = FactorJoinConfig(n_bins=16, table_estimator="truescan",
                               seed=0)
-    workdir = Path(tempfile.mkdtemp(prefix="repro-cluster-example-"))
 
     # 1. distributed fit: shard sub-artifacts are written by the workers
     artifact = workdir / "ensemble"
@@ -82,6 +81,11 @@ def main() -> None:
         print(f"hot-swapped shard 2 in {info['seconds'] * 1e3:.1f}ms "
               f"(merged statistics changed: {info['stats_changed']})")
         print(f"post-swap estimate:  {cluster.estimate(query):,.1f}")
+
+
+def main() -> None:
+    with tempfile.TemporaryDirectory(prefix="repro-cluster-example-") as workdir:
+        run(Path(workdir))
 
 
 if __name__ == "__main__":

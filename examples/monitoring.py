@@ -57,7 +57,7 @@ def _print_span(span: dict, indent: int = 0) -> None:
         _print_span(child, indent + 1)
 
 
-def main() -> None:
+def run(workdir: Path) -> None:
     db = build_database()
     model = FactorJoin(FactorJoinConfig(n_bins=128,
                                         table_estimator="truescan"))
@@ -65,7 +65,6 @@ def main() -> None:
 
     # a tracer with a JSONL exporter — the programmatic equivalent of
     # `repro serve --trace-log traces.jsonl --slow-ms 5`
-    workdir = Path(tempfile.mkdtemp(prefix="repro-monitoring-"))
     trace_path = workdir / "traces.jsonl"
     exporter = JsonlTraceExporter(str(trace_path))
     service = EstimationService(
@@ -127,6 +126,11 @@ def main() -> None:
     roots = [json.loads(line)["name"] for line in lines]
     print(f"\n{trace_path}: {len(lines)} exported traces "
           f"({', '.join(sorted(set(roots)))})")
+
+
+def main() -> None:
+    with tempfile.TemporaryDirectory(prefix="repro-monitoring-") as workdir:
+        run(Path(workdir))
 
 
 if __name__ == "__main__":

@@ -24,14 +24,13 @@ from repro.serve import EstimationService, load_model, serve_in_background
 from quickstart import build_database
 
 
-def main() -> None:
+def run(workdir: Path) -> None:
     db = build_database()
 
     # -- 1. offline phase, paid once ------------------------------------------
     model = FactorJoin(FactorJoinConfig(n_bins=128,
                                         table_estimator="bayescard"))
     model.fit(db)
-    workdir = Path(tempfile.mkdtemp(prefix="repro-serving-"))
     artifact = workdir / "orders.fj"
     model.save(artifact)
     manifest = json.loads((artifact / "manifest.json").read_text())
@@ -98,6 +97,11 @@ def main() -> None:
           f"p50 {latency['p50'] * 1e3:.3f} ms")
     server.shutdown()
     server.server_close()
+
+
+def main() -> None:
+    with tempfile.TemporaryDirectory(prefix="repro-serving-") as workdir:
+        run(Path(workdir))
 
 
 if __name__ == "__main__":

@@ -20,7 +20,8 @@ of the ensemble's atomic state swap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.errors import WorkerError
 
@@ -177,12 +178,12 @@ class BatchProbe:
     items: tuple[ProbeItem, ...]
 
 
-@dataclass(frozen=True)
-class ProbeResult:
-    """One :class:`ProbeItem` answer."""
+class ProbeResult(NamedTuple):
+    """One :class:`ProbeItem` answer: the ``(total, dists)`` pair of
+    :func:`~repro.shard.ensemble.probe_shard`, named for the wire."""
 
-    total: float | None = None
-    dists: dict = field(default_factory=dict)
+    total: float | None
+    dists: dict
 
 
 # ------------------------------------------------------------ statistics --

@@ -14,20 +14,29 @@ statistics, merely in another process, and summed in the same order.
 
 Per-query batching
 ------------------
-Opening a session (or any estimate) first resolves the query's key
-groups and ships each worker **one** batch with every (table, filter,
-key-columns) probe its shards owe the query.  The answers prime the
-driver-side factor caches, so sub-plan lattice probes — the optimizer's
-thousands of ``estimate_join`` calls — run incrementally in the driver
-without further RPC.
+Every probe that leaves the driver goes through one fan-out
+(``_probe_remotes``): items are grouped by worker and each worker gets
+**one** ``BatchProbe``, all sent at once.  Opening a session (or any
+estimate) first resolves the query's key groups and ships every
+(table, filter, key-columns) probe its shards owe the query; the merged
+answers prime a per-state probe memo, so sub-plan lattice probes — the
+optimizer's thousands of ``estimate_join`` calls — run in the driver
+without further RPC.  A memo miss (a probe no prefetch planned) takes
+the same fan-out, one batch per worker.  The per-shard probe and the
+shard-order merge are the ensemble layer's own
+(:func:`~repro.shard.ensemble.probe_shard`,
+:func:`~repro.shard.ensemble.merge_probes`).
 
 Crash recovery
 --------------
 The driver keeps a *ledger* per shard-state token: the sub-artifact path
 plus the update journal since.  When a worker dies, the pool restarts it
-and replays the ledger; the request that observed the crash is answered
-*in the driver* from a ledger-materialized local model — transparently,
-with the same statistics the worker held.
+and replays the ledger.  Every read that observed the crash — probes,
+statistics, fingerprints, sizes, compaction — takes one fallback
+(:meth:`RemoteShardModel.ask`): it is answered *in the driver* from a
+ledger-materialized local model, transparently, with the same
+statistics the worker held.  Writes (updates, seating a new token)
+instead restart, reseed, and send the RPC once more.
 
 Consistency
 -----------
@@ -63,13 +72,13 @@ from repro.cluster.messages import (
     LoadShard,
     ModelSizeRequest,
     ProbeItem,
-    ProbeResult,
     Profile,
     RecordFeedback,
     ReleaseTokens,
     ShardStatsRequest,
 )
 from repro.cluster.pool import DEFAULT_TIMEOUT, WorkerPool
+from repro.cluster.worker import compact_model
 from repro.core.key_groups import query_key_groups
 from repro.obs.drift import empty_drift_snapshot, merge_drift_snapshot
 from repro.obs.federate import MetricsFederator
@@ -88,6 +97,8 @@ from repro.shard.ensemble import (
     EnsembleTableEstimator,
     ShardedFactorJoin,
     _assemble_state,
+    merge_probes,
+    probe_shard,
     shard_stats_of,
     updated_clone,
 )
@@ -107,18 +118,20 @@ class _Ledger:
     sub-artifact on disk (a path, or a ``cas://`` store reference) plus
     the update journal applied since.  This is what worker reseeding
     replays and what the driver materializes for in-process crash
-    retries.  ``worker_id`` records which worker currently owns the
-    token — authoritative for reseeding, because re-homing moves shards
-    off the pool's default modulo layout."""
+    retries.  ``worker_id`` records which worker owns the token — the
+    one placement record, because re-homing moves shards off the pool's
+    default modulo layout."""
 
     shard_index: int
     path: str
+    worker_id: int
     journal: tuple = ()
-    worker_id: int = -1
 
 
 class _LedgerBook:
-    """Thread-safe token -> :class:`_Ledger` map.
+    """Every shard-state token of one cluster model: its ledger, its
+    driver-side fallback model once materialized, and the steps that
+    create, rebuild, and release it on the model's worker pool.
 
     Mutated from estimate threads (updates, hot-swaps) *and* from
     garbage-collection finalizers (token releases), and snapshotted by
@@ -127,14 +140,16 @@ class _LedgerBook:
     very thread that holds it; every critical section is a single small
     operation, so re-entry is harmless.
 
-    ``store`` carries the model's artifact store (or ``None``) so every
+    ``store`` is the model's artifact store (or ``None``), so every
     ledger consumer — crash-retry materialization, hot-swaps, compaction
     — resolves ``cas://`` paths the same way.
     """
 
-    def __init__(self, store=None):
+    def __init__(self, pool: WorkerPool, store=None):
         self._lock = threading.RLock()
         self._entries: dict[str, _Ledger] = {}
+        self._local_models: dict[str, object] = {}
+        self.pool = pool
         self.store = store
 
     def get(self, token: str) -> _Ledger | None:
@@ -145,128 +160,144 @@ class _LedgerBook:
         with self._lock:
             self._entries[token] = ledger
 
-    def pop(self, token: str) -> None:
-        with self._lock:
-            self._entries.pop(token, None)
-
     def snapshot(self) -> list[tuple[str, _Ledger]]:
         with self._lock:
             return sorted(self._entries.items())
 
+    def seat(self, shard_index: int, worker_id: int, path: str,
+             journal: tuple = ()) -> "RemoteShardModel":
+        """Register the shard state ``(path, journal)`` on ``worker_id``
+        under a fresh token and return its slot — the one way a token
+        comes to exist.  A worker that dies mid-seed is replaced and
+        seeded once more; if that fails too, the token is released
+        before the error propagates, so a failed seat leaks nothing."""
+        token = _new_token(shard_index)
+        self.set(token, _Ledger(shard_index, path, worker_id, journal))
+        slot = RemoteShardModel(self, worker_id, shard_index, token)
+        try:
+            try:
+                self.reseed_token(worker_id, token)
+            except WorkerError:
+                self.revive(worker_id, token)
+        except Exception:
+            slot.release()
+            raise
+        return slot
 
-def _materialize_ledger(ledger: _Ledger, store=None):
-    """A local model holding exactly the token's statistics."""
-    from repro.serve.artifact import is_store_ref
+    def reseed_token(self, worker_id: int, token: str) -> None:
+        """Rebuild ``token`` on ``worker_id`` by replaying its ledger.
 
-    path = ledger.path
-    if is_store_ref(path):
-        if store is None:
-            raise ReproError(
-                f"cannot materialize shard state from {path}: the driver "
-                f"has no artifact store attached")
-        path = store.resolve(path)
-    model, _ = load_shard_artifact(path)
-    for table, rows, deleted_rows in ledger.journal:
-        model.update(table, rows, deleted_rows=deleted_rows)
-    return model
+        Intermediate versions are released immediately; the final
+        ``CloneUpdate`` binds ``token`` itself, so concurrent probes of
+        the token never observe a half-replayed journal.
+        """
+        ledger = self.get(token)
+        if ledger is None:
+            return
+        pool, index = self.pool, ledger.shard_index
+        if not ledger.journal:
+            pool.call(worker_id, LoadShard(token, ledger.path, index))
+            return
+        prev = _new_token(index)
+        pool.call(worker_id, LoadShard(prev, ledger.path, index))
+        retire = []
+        for position, (table, rows, deleted_rows) in enumerate(
+                ledger.journal):
+            last = position == len(ledger.journal) - 1
+            nxt = token if last else _new_token(index)
+            pool.call(worker_id, CloneUpdate(prev, nxt, table, rows,
+                                             deleted_rows))
+            retire.append(prev)
+            prev = nxt
+        pool.call(worker_id, ReleaseTokens(tuple(retire)))
 
+    def revive(self, worker_id: int, token: str) -> None:
+        """The restart step of a retry: replace ``worker_id`` if it died
+        and rebuild ``token`` on it, ready for the RPC to be sent
+        again."""
+        self.pool.ensure_alive(worker_id)
+        self.reseed_token(worker_id, token)
 
-def _reseed_token(pool: WorkerPool, worker_id: int, token: str,
-                  ledger: _Ledger) -> None:
-    """Rebuild ``token`` on a (re)started worker by replaying its ledger.
+    def reseed(self, worker_id: int) -> None:
+        """Rebuild every live token a restarted worker owns (the pool's
+        ``on_restart`` hook)."""
+        for token, ledger in self.snapshot():
+            if ledger.worker_id == worker_id:
+                self.reseed_token(worker_id, token)
 
-    Intermediate versions are released immediately; the final
-    ``CloneUpdate`` binds ``token`` itself, so concurrent probes of the
-    token never observe a half-replayed journal.
-    """
-    if not ledger.journal:
-        pool.call(worker_id, LoadShard(token, ledger.path,
-                                       ledger.shard_index))
-        return
-    prev = _new_token(ledger.shard_index)
-    pool.call(worker_id, LoadShard(prev, ledger.path, ledger.shard_index))
-    retire = []
-    for position, (table, rows, deleted_rows) in enumerate(ledger.journal):
-        last = position == len(ledger.journal) - 1
-        nxt = token if last else _new_token(ledger.shard_index)
-        pool.call(worker_id, CloneUpdate(prev, nxt, table, rows,
-                                         deleted_rows))
-        retire.append(prev)
-        prev = nxt
-    pool.call(worker_id, ReleaseTokens(tuple(retire)))
+    def local_model(self, token: str):
+        """A driver-side model holding exactly ``token``'s statistics,
+        materialized from its ledger on first use."""
+        model = self._local_models.get(token)
+        if model is None:
+            from repro.serve.artifact import is_store_ref
 
+            ledger = self.get(token)
+            if ledger is None:
+                raise WorkerError(
+                    f"shard state {token!r} has no ledger to retry "
+                    f"from (already released?)")
+            path = ledger.path
+            if is_store_ref(path):
+                if self.store is None:
+                    raise ReproError(
+                        f"cannot materialize shard state from {path}: "
+                        f"the driver has no artifact store attached")
+                path = self.store.resolve(path)
+            model, _ = load_shard_artifact(path)
+            for table, rows, deleted_rows in ledger.journal:
+                model.update(table, rows, deleted_rows=deleted_rows)
+            self._local_models[token] = model
+        return model
 
-def _release_token(pool: WorkerPool, worker_id: int, token: str,
-                   ledgers: "_LedgerBook", local_models: dict) -> None:
-    """GC finalizer of a :class:`RemoteShardModel`: when no ensemble
-    state references the token anymore, drop its ledger, any local
-    fallback model, and queue the worker-side release."""
-    ledgers.pop(token)
-    local_models.pop(token, None)
-    pool.schedule_release(worker_id, token)
+    def release(self, worker_id: int, token: str) -> None:
+        """Forget ``token``: its ledger, any local fallback model, and
+        (queued) its worker-side state."""
+        with self._lock:
+            self._entries.pop(token, None)
+        self._local_models.pop(token, None)
+        self.pool.schedule_release(worker_id, token)
 
 
 class RemoteShardModel:
     """Driver-side handle to one shard-state version in a worker.
 
     Duck-types the slice of a shard :class:`~repro.core.estimator.
-    FactorJoin` the ensemble layer touches — probes via
-    ``table_estimator``, ``clone_for_update``/``update`` for the routed
-    copy-on-write path, ``fingerprint``/``model_size_bytes`` for
+    FactorJoin` the ensemble layer touches — the post-delete row count
+    via ``table_estimator``, ``clone_for_update``/``update`` for the
+    routed copy-on-write path, ``fingerprint``/``model_size_bytes`` for
     introspection — so the inherited ensemble machinery drives workers
-    without knowing it.  Transport failures are absorbed here: the pool
-    restarts the worker and the answer is computed in-process from the
-    token's ledger.
+    without knowing it.  Transport failures are absorbed in :meth:`ask`:
+    the pool restarts the worker and the answer is computed in-process
+    from the token's ledger.  When the last ensemble state referencing
+    the handle is garbage-collected, a finalizer releases its token.
     """
 
-    def __init__(self, pool: WorkerPool, worker_id: int, shard_index: int,
-                 token: str, ledgers: "_LedgerBook", local_models: dict,
+    def __init__(self, ledgers: _LedgerBook, worker_id: int,
+                 shard_index: int, token: str,
                  base_token: str | None = None):
-        self.pool = pool
+        self.pool = ledgers.pool
         self.worker_id = worker_id
         self.shard_index = shard_index
         self.token = token
         self._ledgers = ledgers
-        self._local_models = local_models
         self._base_token = base_token
-        self._finalizer = weakref.finalize(
-            self, _release_token, pool, worker_id, token, ledgers,
-            local_models)
+        self.release = weakref.finalize(self, ledgers.release, worker_id,
+                                        token)
 
-    # -- probes ---------------------------------------------------------------
-
-    def probe(self, table: str, pred, columns=(),
-              want_total: bool = True) -> ProbeResult:
-        """One shard probe, worker-side when possible, ledger-local on
-        crash (transparently, bit-identically)."""
-        item = ProbeItem(self.token, table, pred, tuple(columns),
-                         want_total)
+    def ask(self, message, fallback):
+        """``message``'s answer from the owning worker; if the worker
+        fails, restart it and return ``fallback()`` instead — computed in
+        the driver from ledger-materialized models, which hold the same
+        statistics the worker did."""
         try:
-            return self.pool.call(self.worker_id, BatchProbe((item,)))[0]
+            return self.pool.call(self.worker_id, message)
         except WorkerError:
             self.pool.ensure_alive(self.worker_id)
-            with trace_span("probe.retry", retried=True,
-                            restarted_worker=self.worker_id):
-                return self.local_probe(item)
+            return fallback()
 
-    def local_probe(self, item: ProbeItem) -> ProbeResult:
-        """The in-process retry: the worker's own probe computation
-        (:func:`~repro.cluster.worker.probe_model`), driver-side."""
-        from repro.cluster.worker import probe_model
-
-        return probe_model(self._local_model(), item)
-
-    def _local_model(self):
-        model = self._local_models.get(self.token)
-        if model is None:
-            ledger = self._ledgers.get(self.token)
-            if ledger is None:
-                raise WorkerError(
-                    f"shard state {self.token!r} has no ledger to retry "
-                    f"from (already released?)")
-            model = _materialize_ledger(ledger, store=self._ledgers.store)
-            self._local_models[self.token] = model
-        return model
+    def local_model(self):
+        return self._ledgers.local_model(self.token)
 
     def table_estimator(self, table_name: str) -> "_RemoteTableEstimator":
         return _RemoteTableEstimator(self, table_name)
@@ -277,10 +308,9 @@ class RemoteShardModel:
         """A pending new version; :meth:`update` registers it worker-side
         (mirrors ``FactorJoin.clone_for_update`` + ``update``; the worker
         clones ``table_name``'s statistics from the ``CloneUpdate``)."""
-        return RemoteShardModel(self.pool, self.worker_id,
+        return RemoteShardModel(self._ledgers, self.worker_id,
                                 self.shard_index,
                                 _new_token(self.shard_index),
-                                self._ledgers, self._local_models,
                                 base_token=self.token)
 
     def update(self, table_name: str, new_rows=None,
@@ -296,52 +326,32 @@ class RemoteShardModel:
             # crash path: restart, rebuild the base version from its
             # ledger, and retry once — validation errors (the model
             # rejecting the batch) are not WorkerErrors and propagate
-            self.pool.ensure_alive(self.worker_id)
             with trace_span("update.retry", retried=True,
                             restarted_worker=self.worker_id):
-                base_ledger = self._ledgers.get(self._base_token)
-                if base_ledger is not None:
-                    try:
-                        _reseed_token(self.pool, self.worker_id,
-                                      self._base_token, base_ledger)
-                    except WorkerError:
-                        pass
+                self._ledgers.revive(self.worker_id, self._base_token)
                 self.pool.call(self.worker_id, message)
-        base_ledger = self._ledgers.get(self._base_token)
-        if base_ledger is not None:
+        base = self._ledgers.get(self._base_token)
+        if base is not None:
             self._ledgers.set(self.token, _Ledger(
-                self.shard_index, base_ledger.path,
-                base_ledger.journal
-                + ((table_name, new_rows, deleted_rows),),
-                worker_id=self.worker_id))
+                self.shard_index, base.path, self.worker_id,
+                base.journal + ((table_name, new_rows, deleted_rows),)))
 
     # -- statistics -----------------------------------------------------------
 
     def shard_stats(self):
         """The version's mergeable statistics (hot-swap bookkeeping)."""
-        try:
-            return self.pool.call(self.worker_id,
-                                  ShardStatsRequest(self.token))
-        except WorkerError:
-            self.pool.ensure_alive(self.worker_id)
-            model = self._local_model()
+        def local():
+            model = self.local_model()
             return shard_stats_of(model, model.database.schema)
+        return self.ask(ShardStatsRequest(self.token), local)
 
     def fingerprint(self) -> str:
-        try:
-            return self.pool.call(self.worker_id,
-                                  FingerprintRequest(self.token))
-        except WorkerError:
-            self.pool.ensure_alive(self.worker_id)
-            return self._local_model().fingerprint()
+        return self.ask(FingerprintRequest(self.token),
+                        lambda: self.local_model().fingerprint())
 
     def model_size_bytes(self) -> int:
-        try:
-            return self.pool.call(self.worker_id,
-                                  ModelSizeRequest(self.token))
-        except WorkerError:
-            self.pool.ensure_alive(self.worker_id)
-            return self._local_model().model_size_bytes()
+        return self.ask(ModelSizeRequest(self.token),
+                        lambda: self.local_model().model_size_bytes())
 
     def __repr__(self) -> str:
         return (f"RemoteShardModel(shard={self.shard_index}, "
@@ -349,64 +359,104 @@ class RemoteShardModel:
 
 
 class _RemoteTableEstimator:
-    """Per-table probe surface of one :class:`RemoteShardModel` (what
-    the inherited update path reads for post-delete row counts)."""
+    """The one per-table read the inherited update path makes of a
+    shard slot: its post-delete row count."""
 
     def __init__(self, remote: RemoteShardModel, table_name: str):
         self._remote = remote
         self._table_name = table_name
 
     def estimate_row_count(self, pred) -> float:
-        return self._remote.probe(self._table_name, pred, (), True).total
-
-    def key_distribution(self, column: str, pred) -> np.ndarray:
-        return self._remote.probe(self._table_name, pred, (column,),
-                                  False).dists[column]
+        [[(total, _)]] = _probe_remotes(
+            [((self._remote,), self._table_name, pred, (), True)])
+        return total
 
 
 def _in_context(ctx, fn, *args):
-    """Executor-thread shim for one fanned-out call (a shard probe or a
-    shard update): pool executor threads do not inherit the request
-    thread's trace context, so the caller captures it and this
+    """Executor-thread shim for one fanned-out call (a worker's probe
+    batch or a shard update): pool executor threads do not inherit the
+    request thread's trace context, so the caller captures it and this
     re-activates it around ``fn(*args)`` — the rpc and worker spans then
     nest under the request."""
     with use_context(ctx):
         return fn(*args)
 
 
-def merge_probe_results(results, columns, binnings,
-                        want_total: bool):
-    """Sum per-shard probe answers — ``results`` ordered by shard index
-    — into ``(total, dists)``.
+def _probe_remotes(requests) -> list[list]:
+    """The driver's one probe fan-out.
 
-    The single definition of the cluster's merge: a plain float sum for
-    totals and a float64 zero-initialized accumulation per column,
-    exactly mirroring the in-process
-    :class:`~repro.shard.ensemble.EnsembleTableEstimator` loops, which
-    is what makes cluster answers bit-identical.  Both the per-probe
-    path and the batched prefetch call this.
+    ``requests`` holds ``(remotes, table, pred, columns, want_total)``
+    tuples; the answer is, per request, one ``(total, dists)`` per
+    remote, in the order given.  The items are grouped by worker and
+    each worker gets **one** ``BatchProbe``, all sent at once on the
+    pool's executor under the caller's trace context.
     """
-    total = (float(sum(result.total for result in results))
-             if want_total else None)
-    dists = {}
-    for column in columns:
-        acc = np.zeros(binnings[column].n_bins, dtype=np.float64)
-        for result in results:
-            acc += result.dists[column]
-        dists[column] = acc
-    return total, dists
+    per_worker: dict[int, list] = {}
+    for position, (remotes, table, pred, columns,
+                   want_total) in enumerate(requests):
+        for rank, remote in enumerate(remotes):
+            item = ProbeItem(remote.token, table, pred, columns, want_total)
+            per_worker.setdefault(remote.worker_id, []).append(
+                (position, rank, remote, item))
+    answers = [[None] * len(request[0]) for request in requests]
+    if not per_worker:
+        return answers
+    pool = next(iter(per_worker.values()))[0][2].pool
+    ctx = capture_context()
+    futures = {worker_id: pool.spawn(_in_context, ctx, _probe_worker,
+                                     worker_id, entries)
+               for worker_id, entries in per_worker.items()}
+    for worker_id, future in futures.items():
+        for (position, rank, _, _), answer in zip(per_worker[worker_id],
+                                                  future.result()):
+            answers[position][rank] = answer
+    return answers
+
+
+def _probe_worker(worker_id: int, entries: list) -> list:
+    """One worker's share of a fan-out, in a ``probe.fanout`` span; on a
+    crash the worker is restarted and each item is answered in-process
+    from its shard's ledger (a ``probe.retry`` span)."""
+    def from_ledgers():
+        with trace_span("probe.retry", retried=True,
+                        restarted_worker=worker_id):
+            return [probe_shard(remote.local_model(), item.table,
+                                item.pred, item.columns, item.want_total)
+                    for _, _, remote, item in entries]
+
+    with trace_span("probe.fanout", worker=worker_id, probes=len(entries)):
+        return entries[0][2].ask(
+            BatchProbe(tuple(item for *_, item in entries)), from_ledgers)
+
+
+def _fetch_probes(requests) -> list[tuple]:
+    """Probe ``(estimator, pred, columns, want_total)`` requests through
+    :func:`_probe_remotes`, merge each over its candidate shards, and
+    memoize it; returns the merged answers, in order."""
+    answers = _probe_remotes([
+        ([estimator._shard_set.model(i)
+          for i in estimator.candidate_shards(pred)],
+         estimator._table_name, pred, columns, want_total)
+        for estimator, pred, columns, want_total in requests])
+    merged = []
+    for (estimator, pred, columns, want_total), shard_answers in zip(
+            requests, answers):
+        answer = merge_probes(shard_answers, columns, estimator._binnings,
+                              want_total)
+        estimator.remember(pred, answer)
+        merged.append(answer)
+    return merged
 
 
 class ClusterTableEstimator(EnsembleTableEstimator):
     """Ensemble-table facade whose per-shard reads go through workers.
 
-    Overrides exactly the two probe methods; pruning, policy hints, and
-    capability reporting are inherited.  Probes fan out across the
-    candidate shards in parallel (one thread per worker) and merge in
-    shard-index order, so sums are bit-identical to the in-process
-    serial loop.  Answers are memoized per filter under the current
-    ensemble state — a new state builds new estimators, so memoized
-    probes can never survive an update or hot-swap.
+    Overrides :meth:`probe`; pruning, policy hints, and capability
+    reporting are inherited.  A probe is answered from a memo of merged
+    answers per filter under the current ensemble state — a new state
+    builds new estimators, so memoized probes can never survive an
+    update or hot-swap.  A miss goes through the same per-worker fan-out
+    as the driver's per-query prefetch (:func:`_fetch_probes`).
     """
 
     name = "cluster"
@@ -419,78 +469,44 @@ class ClusterTableEstimator(EnsembleTableEstimator):
         self._probe_lock = threading.Lock()
         self._probe_cache: OrderedDict = OrderedDict()
 
-    # -- memo -----------------------------------------------------------------
-
-    def missing_requirements(self, pred, columns: tuple,
-                             want_total: bool = True):
-        """``(columns_needed, total_needed)`` not yet memoized for
-        ``pred`` (the driver's batched prefetch plans with this)."""
+    def lacking(self, pred, columns: tuple, want_total: bool = True):
+        """``(memo entry or None, columns, want_total)``: ``pred``'s memo
+        entry and the part of a probe it cannot answer yet."""
         with self._probe_lock:
             entry = self._probe_cache.get(pred)
-            if entry is None:
-                return tuple(columns), want_total
-            cols = tuple(c for c in columns if c not in entry["dists"])
-            return cols, want_total and entry["total"] is None
+        if entry is None:
+            return None, tuple(columns), want_total
+        return (entry, tuple(c for c in columns if c not in entry[1]),
+                want_total and entry[0] is None)
 
-    def store_probe(self, pred, total, dists: dict) -> None:
-        """Memoize shard-summed probe results for ``pred``."""
+    def remember(self, pred, answer: tuple) -> None:
+        """Fold a merged ``(total, dists)`` answer into ``pred``'s memo
+        entry (entries are replaced, never mutated)."""
+        total, dists = answer
         with self._probe_lock:
-            entry = self._probe_cache.get(pred)
-            if entry is None:
-                entry = {"total": None, "dists": {}}
-                self._probe_cache[pred] = entry
-            if total is not None:
-                entry["total"] = float(total)
-            entry["dists"].update(dists)
-            self._probe_cache.move_to_end(pred)
+            entry = self._probe_cache.pop(pred, None)
+            if entry is not None:
+                total = entry[0] if total is None else total
+                dists = {**entry[1], **dists}
+            self._probe_cache[pred] = (total, dists)
             while len(self._probe_cache) > self.MAX_PROBE_CACHE:
                 self._probe_cache.popitem(last=False)
 
-    # -- probes ---------------------------------------------------------------
-
-    def _remotes(self, shard_ids) -> list[RemoteShardModel]:
-        return [self._shard_set.model(index) for index in shard_ids]
-
-    def fetch(self, pred, columns: tuple, want_total: bool):
-        """Fan one probe out across the candidate shards and merge."""
-        remotes = self._remotes(self.candidate_shards(pred))
-        if len(remotes) <= 1:
-            results = [remote.probe(self._table_name, pred, columns,
-                                    want_total) for remote in remotes]
-        else:
-            pool = remotes[0].pool
-            ctx = capture_context()
-            futures = [pool.spawn(_in_context, ctx, remote.probe,
-                                  self._table_name, pred, columns,
-                                  want_total)
-                       for remote in remotes]
-            results = [future.result() for future in futures]
-        return merge_probe_results(results, columns, self._binnings,
-                                   want_total)
-
-    def _ensure(self, pred, columns: tuple, want_total: bool):
-        cols_needed, total_needed = self.missing_requirements(
+    def probe(self, pred, columns: tuple = (),
+              want_total: bool = True) -> tuple:
+        """The memoized answer; its arrays are shared with the memo, so
+        callers must not mutate them.  A miss fetches the whole probe
+        and returns what it fetched, never a memo entry that another
+        thread may have evicted meanwhile."""
+        entry, lacking_columns, lacking_total = self.lacking(
             pred, columns, want_total)
-        if cols_needed or total_needed:
-            total, dists = self.fetch(pred, cols_needed, total_needed)
-            self.store_probe(pred, total, dists)
-        with self._probe_lock:
-            entry = self._probe_cache.get(pred)
-            if entry is not None and all(c in entry["dists"]
-                                         for c in columns) and (
-                    not want_total or entry["total"] is not None):
-                return (entry["total"],
-                        {c: entry["dists"][c] for c in columns})
-        # evicted under memory pressure mid-flight: answer directly
-        return self.fetch(pred, tuple(columns), want_total)
-
-    def estimate_row_count(self, pred) -> float:
-        total, _ = self._ensure(pred, (), True)
-        return total
+        if lacking_columns or lacking_total:
+            return _fetch_probes([(self, pred, tuple(columns),
+                                   want_total)])[0]
+        return entry
 
     def key_distribution(self, column: str, pred) -> np.ndarray:
-        _, dists = self._ensure(pred, (column,), False)
-        return dists[column].copy()
+        return self.probe(pred, (column,), False)[1][column].copy()
 
 
 class ClusterModel(ShardedFactorJoin):
@@ -556,25 +572,20 @@ class ClusterModel(ShardedFactorJoin):
                                   inline=inline, store=store)
         if store is None:
             store = getattr(pool, "store", None)
-        ledgers = _LedgerBook(store=store)
-        local_models: dict[str, object] = {}
-        slots = []
+        ledgers = _LedgerBook(pool, store=store)
+        # hooks accumulate per model, so several cluster models can share
+        # one pool and each reseeds its own tokens after a restart
+        pool.add_restart_hook(ledgers.reseed)
         try:
-            for index, shard_dir in enumerate(shard_dirs):
-                token = _new_token(index)
-                worker_id = pool.owner_of(index)
-                # with a store, workers address the shard by content —
-                # the only path a remote worker can resolve; without
-                # one, by the driver-local directory
-                ref = (store.publish(shard_dir) if store is not None
-                       else str(shard_dir))
-                ledgers.set(token, _Ledger(index, ref,
-                                           worker_id=worker_id))
-                pool.call(worker_id, LoadShard(token, ref, index))
-                slots.append(RemoteShardModel(pool, worker_id, index,
-                                              token, ledgers,
-                                              local_models))
+            # with a store, workers address a shard by content — the
+            # only path a remote worker can resolve; without one, by the
+            # driver-local directory
+            slots = [ledgers.seat(index, pool.owner_of(index),
+                                  store.publish(shard_dir)
+                                  if store is not None else str(shard_dir))
+                     for index, shard_dir in enumerate(shard_dirs)]
         except Exception:
+            pool.remove_restart_hook(ledgers.reseed)
             if owns_pool:
                 pool.shutdown()
             raise
@@ -582,15 +593,11 @@ class ClusterModel(ShardedFactorJoin):
         model._pool = pool
         model._owns_pool = owns_pool
         model._ledgers = ledgers
-        model._local_models = local_models
         model._artifact_path = str(path)
         model._compact_after = compact_after
         model._federator = MetricsFederator()
         model._drift_federator = MetricsFederator(empty_drift_snapshot,
                                                   merge_drift_snapshot)
-        # hooks accumulate per model, so several cluster models can share
-        # one pool and each reseeds its own tokens after a restart
-        pool.add_restart_hook(model._reseed_worker)
         return model
 
     # -- worker lifecycle ------------------------------------------------------
@@ -649,9 +656,8 @@ class ClusterModel(ShardedFactorJoin):
         modulo layout, so placement must come from the ledger)."""
         groups: dict[int, set[int]] = {}
         for _token, ledger in self._ledgers.snapshot():
-            owner = (ledger.worker_id if ledger.worker_id >= 0
-                     else self._pool.owner_of(ledger.shard_index))
-            groups.setdefault(owner, set()).add(ledger.shard_index)
+            groups.setdefault(ledger.worker_id, set()).add(
+                ledger.shard_index)
         return {worker_id: "+".join(str(i) for i in sorted(indices))
                 for worker_id, indices in groups.items()}
 
@@ -692,12 +698,8 @@ class ClusterModel(ShardedFactorJoin):
     def _shard_owners(self) -> dict[int, int]:
         """``shard index -> owning worker id``, read from the token
         ledgers (same re-homing caveat as :meth:`_shard_groups`)."""
-        owners: dict[int, int] = {}
-        for _token, ledger in self._ledgers.snapshot():
-            owners[ledger.shard_index] = (
-                ledger.worker_id if ledger.worker_id >= 0
-                else self._pool.owner_of(ledger.shard_index))
-        return owners
+        return {ledger.shard_index: ledger.worker_id
+                for _token, ledger in self._ledgers.snapshot()}
 
     def absorb_drift(self, sample) -> tuple:
         """Forward a feedback sample's shard-scope drift attribution to
@@ -755,17 +757,6 @@ class ClusterModel(ShardedFactorJoin):
         return self._pool.call(worker_id, Profile(seconds=seconds, hz=hz),
                                timeout=float(seconds) + 30.0)
 
-    def _reseed_worker(self, worker_id: int) -> None:
-        """Rebuild every live shard-state token a restarted worker owns
-        (the pool's ``on_restart`` hook).  Ownership is read from the
-        ledger itself — re-homing moves tokens off the pool's default
-        layout, so the modulo placement cannot be trusted here."""
-        for token, ledger in self._ledgers.snapshot():
-            owner = (ledger.worker_id if ledger.worker_id >= 0
-                     else self._pool.owner_of(ledger.shard_index))
-            if owner == worker_id:
-                _reseed_token(self._pool, worker_id, token, ledger)
-
     # -- elasticity ------------------------------------------------------------
 
     def grow_workers(self, count: int = 1, *, addresses=None) -> list[int]:
@@ -793,11 +784,7 @@ class ClusterModel(ShardedFactorJoin):
         """
         with self._update_lock:
             state = self._require_state()
-            if not 0 <= index < len(state.shard_set):
-                raise ReproError(
-                    f"shard index {index} out of range for a "
-                    f"{len(state.shard_set)}-shard ensemble")
-            old_slot = state.shard_set.model(index)
+            old_slot = state.slot(index)
             active = self._pool.active_workers()
             if worker_id is None:
                 load = {w: 0 for w in active if w != old_slot.worker_id}
@@ -821,25 +808,10 @@ class ClusterModel(ShardedFactorJoin):
                 raise ReproError(
                     f"shard state {old_slot.token!r} has no ledger to "
                     f"re-home from")
-            token = _new_token(index)
-            ledger = _Ledger(index, old_ledger.path, old_ledger.journal,
-                             worker_id=worker_id)
-            self._ledgers.set(token, ledger)
-            try:
-                try:
-                    _reseed_token(self._pool, worker_id, token, ledger)
-                except WorkerError:
-                    # the target died mid-seed: replace it and try once
-                    # more before giving up (leaving the shard where it
-                    # was — nothing was published yet)
-                    self._pool.ensure_alive(worker_id)
-                    _reseed_token(self._pool, worker_id, token, ledger)
-            except Exception:
-                _release_token(self._pool, worker_id, token,
-                               self._ledgers, self._local_models)
-                raise
-            slot = RemoteShardModel(self._pool, worker_id, index, token,
-                                    self._ledgers, self._local_models)
+            # a failed seat leaves the shard where it was (nothing is
+            # published yet)
+            slot = self._ledgers.seat(index, worker_id, old_ledger.path,
+                                      old_ledger.journal)
             # republish with the merged statistics passed through as-is
             # (the same objects — not a -old+new float round trip, which
             # would not be bit-stable even for identical stats)
@@ -851,7 +823,7 @@ class ClusterModel(ShardedFactorJoin):
                 merged._key_joints, state.merged_pairs, state.supports,
                 estimator_cls=type(self).table_estimator_cls)
         return {"shard": index, "worker": worker_id,
-                "from_worker": old_slot.worker_id, "token": token,
+                "from_worker": old_slot.worker_id, "token": slot.token,
                 "moved": True}
 
     def shrink_worker(self, worker_id: int) -> dict:
@@ -900,11 +872,7 @@ class ClusterModel(ShardedFactorJoin):
         """
         with self._update_lock:
             state = self._require_state()
-            if not 0 <= index < len(state.shard_set):
-                raise ReproError(
-                    f"shard index {index} out of range for a "
-                    f"{len(state.shard_set)}-shard ensemble")
-            slot = state.shard_set.model(index)
+            slot = state.slot(index)
             ledger = self._ledgers.get(slot.token)
             if ledger is None:
                 raise ReproError(
@@ -925,35 +893,13 @@ class ClusterModel(ShardedFactorJoin):
                 slot.token,
                 save_dir=str(save_dir) if save_dir is not None else None,
                 summary=summary)
-            try:
-                result = self._pool.call(slot.worker_id, message)
-                path = result.path
-            except WorkerError:
-                self._pool.ensure_alive(slot.worker_id)
-                path = self._compact_locally(slot, message, store)
+            path = slot.ask(message, lambda: compact_model(
+                slot.local_model(), message, store)).path
             dropped = len(ledger.journal)
             self._ledgers.set(slot.token,
-                              _Ledger(index, str(path),
-                                      worker_id=slot.worker_id))
+                              _Ledger(index, str(path), slot.worker_id))
         return {"shard": index, "token": slot.token, "compacted": True,
                 "journal_dropped": dropped, "path": str(path)}
-
-    def _compact_locally(self, slot: RemoteShardModel, message, store):
-        """Driver-side compaction fallback: materialize the ledger and
-        persist it here (same artifact writer the worker would run)."""
-        import tempfile
-
-        from repro.shard.artifact import save_shard_artifact
-
-        model = slot._local_model()
-        if message.save_dir is not None:
-            save_shard_artifact(model, message.save_dir,
-                                summary=message.summary)
-            return message.save_dir
-        with tempfile.TemporaryDirectory(
-                prefix="repro-compact-") as staging:
-            save_shard_artifact(model, staging, summary=message.summary)
-            return store.publish(staging)
 
     def update(self, table_name: str, new_rows=None,
                deleted_rows=None) -> None:
@@ -1002,7 +948,7 @@ class ClusterModel(ShardedFactorJoin):
         """Detach from the pool: deregister the reseed hook, and shut
         the pool down when this model owns it (a shared pool keeps
         running for its other models)."""
-        self._pool.remove_restart_hook(self._reseed_worker)
+        self._pool.remove_restart_hook(self._ledgers.reseed)
         if getattr(self, "_owns_pool", False):
             self._pool.shutdown()
 
@@ -1015,17 +961,13 @@ class ClusterModel(ShardedFactorJoin):
     # -- estimation (batched per-query prefetch, then inherited inference) -----
 
     def estimate(self, query: Query) -> float:
-        state = self._require_state()
-        with trace_span("session.prep"):
-            self._prefetch(state, query)
+        state = self._prepared(query)
         with trace_span("bound.fold"):
             return state.merged.estimate(query)
 
     def estimate_subplans(self, query: Query, min_tables: int = 1,
                           progressive: bool = True) -> dict[frozenset, float]:
-        state = self._require_state()
-        with trace_span("session.prep"):
-            self._prefetch(state, query)
+        state = self._prepared(query)
         with trace_span("bound.fold"):
             return state.merged.estimate_subplans(
                 query, min_tables=min_tables, progressive=progressive)
@@ -1035,24 +977,27 @@ class ClusterModel(ShardedFactorJoin):
         probes ship to the workers once (one batch per worker), and
         every session probe after that combines the primed factors in
         the driver — no further RPC."""
-        state = self._require_state()
-        with trace_span("session.prep"):
-            self._prefetch(state, query)
-        return state.merged.open_session(query)
+        return self._prepared(query).merged.open_session(query)
 
     def base_factor(self, query: Query, alias: str, groups_q=None):
+        return self._prepared(query).merged.base_factor(query, alias,
+                                                        groups_q)
+
+    def _prepared(self, query: Query):
+        """The current state, with ``query``'s probes prefetched."""
         state = self._require_state()
         with trace_span("session.prep"):
             self._prefetch(state, query)
-        return state.merged.base_factor(query, alias, groups_q)
+        return state
 
     def _prefetch(self, state, query: Query) -> None:
-        """Ship every probe the query's base factors will need — one
-        batch per worker, in parallel — and prime the estimators.
+        """Ship every probe the query's base factors will need that the
+        memo lacks — one batch per worker, in parallel — and memoize the
+        merged answers.
 
-        Best-effort: anything this cannot plan (unsupported queries,
-        exotic predicates) simply falls through to the per-probe path,
-        which computes the same numbers one round trip at a time.
+        Best-effort: a query this cannot plan (unsupported shapes, exotic
+        predicates) is probed on memo misses instead, through the same
+        fan-out.
         """
         try:
             groups_q = query_key_groups(query)
@@ -1063,84 +1008,20 @@ class ClusterModel(ShardedFactorJoin):
         # estimator would recompute them identically
         requirements: dict = {}
         for alias in query.aliases:
-            table_name = query.table_of(alias)
-            pred = query.filter_of(alias)
-            columns: list[str] = []
+            columns = requirements.setdefault(
+                (query.table_of(alias), query.filter_of(alias)), [])
             for var in groups_q.vars_of_alias(alias):
                 for ref in groups_q.refs_of(alias, var):
                     if ref.column not in columns:
                         columns.append(ref.column)
-            key = (table_name, pred)
-            if key in requirements:
-                merged_cols = requirements[key]
-                for column in columns:
-                    if column not in merged_cols:
-                        merged_cols.append(column)
-            else:
-                requirements[key] = columns
-        plan = []  # (estimator, pred, cols_needed, total_needed, shards)
+        requests = []
         for (table_name, pred), columns in requirements.items():
             estimator = state.merged.table_estimator(table_name)
-            cols_needed, total_needed = estimator.missing_requirements(
-                pred, tuple(columns))
-            if not cols_needed and not total_needed:
-                continue
-            plan.append((estimator, pred, cols_needed, total_needed,
-                         estimator.candidate_shards(pred)))
-        if not plan:
-            return
-        # group by worker: each worker answers all its shards' probes in
-        # one round trip
-        per_worker: dict[int, list] = {}
-        for probe_id, (estimator, pred, cols, total_needed,
-                       shards) in enumerate(plan):
-            for shard_index in shards:
-                remote = state.shard_set.model(shard_index)
-                item = ProbeItem(remote.token, estimator._table_name,
-                                 pred, cols, total_needed)
-                per_worker.setdefault(remote.worker_id, []).append(
-                    (probe_id, shard_index, remote, item))
-        ctx = capture_context()
-        futures = {
-            worker_id: self._pool.spawn(self._batch_in_context, ctx,
-                                        worker_id, entries)
-            for worker_id, entries in per_worker.items()
-        }
-        by_probe: dict[tuple[int, int], ProbeResult] = {}
-        for worker_id, future in futures.items():
-            for (probe_id, shard_index, _, _), result in zip(
-                    per_worker[worker_id], future.result()):
-                by_probe[(probe_id, shard_index)] = result
-        for probe_id, (estimator, pred, cols, total_needed,
-                       shards) in enumerate(plan):
-            ordered = [by_probe[(probe_id, s)] for s in shards]
-            total, dists = merge_probe_results(ordered, cols,
-                                               estimator._binnings,
-                                               total_needed)
-            estimator.store_probe(pred, total, dists)
-
-    def _batch_in_context(self, ctx, worker_id: int, entries: list) -> list:
-        """Executor-thread shim for one worker's prefetch batch:
-        re-activates the request's trace context on the fan-out thread
-        and wraps the batch in a per-worker span, so the rpc round trip
-        and the worker's own span nest under the request."""
-        with use_context(ctx):
-            with trace_span("probe.fanout", worker=worker_id,
-                            probes=len(entries)):
-                return self._call_batch(worker_id, entries)
-
-    def _call_batch(self, worker_id: int, entries: list) -> list:
-        """One worker's batch; on a crash, restart it and answer each
-        item in-process from its shard's ledger."""
-        try:
-            return list(self._pool.call(
-                worker_id, BatchProbe(tuple(item for *_, item in entries))))
-        except WorkerError:
-            self._pool.ensure_alive(worker_id)
-            with trace_span("probe.retry", retried=True,
-                            restarted_worker=worker_id):
-                return [remote.local_probe(item)
-                        for _, _, remote, item in entries]
+            _, cols, want_total = estimator.lacking(pred, tuple(columns))
+            if cols or want_total:
+                requests.append((estimator, pred, cols, want_total))
+        if requests:
+            _fetch_probes(requests)
 
     # -- hot swap --------------------------------------------------------------
 
@@ -1168,28 +1049,16 @@ class ClusterModel(ShardedFactorJoin):
         # pool's default layout, so owner_of(index) would be wrong)
         worker_id = old_slot.worker_id
         store = self._ledgers.store
-        ref = store.publish(path) if store is not None else str(path)
-        token = _new_token(index)
-        ledger = _Ledger(index, ref, worker_id=worker_id)
-        self._ledgers.set(token, ledger)
+        slot = self._ledgers.seat(
+            index, worker_id,
+            store.publish(path) if store is not None else str(path))
         try:
-            try:
-                self._pool.call(worker_id, LoadShard(token, ref, index))
-                new_stats = self._pool.call(worker_id,
-                                            ShardStatsRequest(token))
-            except WorkerError:
-                self._pool.ensure_alive(worker_id)
-                model = _materialize_ledger(ledger, store=store)
-                self._local_models[token] = model
-                new_stats = shard_stats_of(model, model.database.schema)
+            new_stats = slot.shard_stats()
         except Exception:
             # a bad replacement (corrupt/missing artifact) publishes
             # nothing — and must not leak its provisional token
-            _release_token(self._pool, worker_id, token,
-                           self._ledgers, self._local_models)
+            slot.release()
             raise
-        slot = RemoteShardModel(self._pool, worker_id, index, token,
-                                self._ledgers, self._local_models)
         return slot, old_stats, new_stats, summary, {"artifact": str(path)}
 
     # -- protocol / introspection ----------------------------------------------

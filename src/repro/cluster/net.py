@@ -41,7 +41,7 @@ import struct
 import threading
 import time
 
-from repro.cluster.messages import Ping, Reply, Request, Shutdown, WorkerInfo
+from repro.cluster.messages import Reply, Request, Shutdown, WorkerInfo
 from repro.cluster.worker import ShardWorker, _sendable_error, handle_traced
 from repro.errors import ReproError
 from repro.obs.trace import absorb_remote_spans, trace_span, wire_context
@@ -408,12 +408,3 @@ class WorkerServer:
 
     def __exit__(self, *exc) -> None:
         self.stop()
-
-
-def _probe_server(address, timeout: float = 5.0) -> WorkerInfo:
-    """Ping a worker server once (connection sanity check)."""
-    transport = TcpTransport(address, connect_timeout=timeout)
-    try:
-        return transport.request(Ping(), timeout)
-    finally:
-        transport.close()

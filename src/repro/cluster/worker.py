@@ -52,23 +52,38 @@ from repro.cluster.messages import (
 from repro.errors import ReproError
 from repro.obs.drift import DriftMonitor
 from repro.obs.metrics import MetricsRegistry
-from repro.shard.ensemble import updated_clone
+from repro.shard.ensemble import probe_shard, updated_clone
 
 
-def probe_model(model, item: ProbeItem) -> ProbeResult:
-    """Answer one probe against a shard model.
+def compact_model(model, message: CompactToken, store) -> CompactResult:
+    """Persist ``model`` as the fresh sub-artifact a
+    :class:`~repro.cluster.messages.CompactToken` asks for: into
+    ``message.save_dir`` when given, else published into ``store``.
 
-    The single definition of a probe's computation: the worker handler
-    and the driver's in-process crash retry both call this, so the
-    "retried requests answer bit-identically" guarantee is structural,
-    not a convention two copies must keep honoring.
+    The single definition of compaction: the worker handler and the
+    driver's crash fallback both call this.
     """
-    estimator = model.table_estimator(item.table)
-    total = (float(estimator.estimate_row_count(item.pred))
-             if item.want_total else None)
-    dists = {column: estimator.key_distribution(column, item.pred)
-             for column in item.columns}
-    return ProbeResult(total=total, dists=dists)
+    import tempfile
+
+    from repro.shard.artifact import save_shard_artifact
+
+    def save(dest):
+        return save_shard_artifact(
+            model, dest, summary=message.summary,
+            name=message.name or None, compress=message.compress)
+
+    if message.save_dir is not None:
+        entry, path = save(message.save_dir), str(message.save_dir)
+    elif store is None:
+        raise ReproError(
+            f"cannot compact {message.token!r} into a store: none "
+            f"attached (pass save_dir, or start the worker with --store)")
+    else:
+        with tempfile.TemporaryDirectory(prefix="repro-compact-") as staging:
+            entry = save(staging)
+            path = store.publish(staging)
+    return CompactResult(path=path, sha256=entry["sha256"],
+                         model_bytes=entry["model_bytes"])
 
 
 def fit_and_save(request: FitShardRequest) -> FitShardResult:
@@ -246,7 +261,9 @@ class ShardWorker:
         return True
 
     def _probe_one(self, item: ProbeItem) -> ProbeResult:
-        result = probe_model(self._model(item.token), item)
+        result = ProbeResult(*probe_shard(
+            self._model(item.token), item.table, item.pred, item.columns,
+            item.want_total))
         self.probes += 1
         self._probes_total.inc()
         return result
@@ -272,32 +289,10 @@ class ShardWorker:
         return result
 
     def _compact(self, message: CompactToken) -> CompactResult:
-        import tempfile
-
-        from repro.shard.artifact import save_shard_artifact
-
-        model = self._model(message.token)
-        if message.save_dir is not None:
-            dest = message.save_dir
-            entry = save_shard_artifact(
-                model, dest, summary=message.summary,
-                name=message.name or None, compress=message.compress)
-            path = str(dest)
-        else:
-            if self.store is None:
-                raise ReproError(
-                    f"worker pid {os.getpid()} cannot compact "
-                    f"{message.token!r} into a store: none attached "
-                    f"(pass save_dir, or start the worker with --store)")
-            with tempfile.TemporaryDirectory(
-                    prefix="repro-compact-") as staging:
-                entry = save_shard_artifact(
-                    model, staging, summary=message.summary,
-                    name=message.name or None, compress=message.compress)
-                path = self.store.publish(staging)
+        result = compact_model(self._model(message.token), message,
+                               self.store)
         self._compactions_total.inc()
-        return CompactResult(path=path, sha256=entry["sha256"],
-                             model_bytes=entry["model_bytes"])
+        return result
 
     def _collect_metrics(self, message: CollectMetrics) -> MetricsSnapshot:
         from repro.obs.federate import snapshot_registry

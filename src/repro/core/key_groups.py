@@ -60,9 +60,6 @@ class KeyGroup:
     def __contains__(self, member: tuple[str, str]) -> bool:
         return member in self.members
 
-    def keys_of_table(self, table: str) -> list[str]:
-        return [col for (tab, col) in self.members if tab == table]
-
 
 def schema_key_groups(schema: DatabaseSchema) -> list[KeyGroup]:
     """Partition all schema key columns into equivalent key groups.
@@ -128,13 +125,3 @@ def query_key_groups(query: Query) -> QueryKeyGroups:
         for ref in members:
             result.var_of[ref] = var_id
     return result
-
-
-def schema_group_of_ref(ref: ColumnRef, query: Query,
-                        groups: list[KeyGroup]) -> KeyGroup | None:
-    """Map a query column reference to its schema-level key group."""
-    table = query.table_of(ref.alias)
-    for group in groups:
-        if (table, ref.column) in group:
-            return group
-    return None

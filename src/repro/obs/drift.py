@@ -137,14 +137,6 @@ class _KeyState:
                  for bucket, cell in self.buckets.items()},
                 self.n, self.mean, self.mhat, self.mmin, self.onset)
 
-    @classmethod
-    def from_tuple(cls, state: tuple) -> "_KeyState":
-        out = cls()
-        buckets, out.n, out.mean, out.mhat, out.mmin, out.onset = state
-        out.buckets = {bucket: list(cell)
-                       for bucket, cell in buckets.items()}
-        return out
-
 
 def empty_drift_snapshot() -> dict:
     """A zero-valued accumulator for :func:`merge_drift_snapshot`."""

@@ -216,20 +216,49 @@ class ShardSet:
         """Which shards are deserialized (False = still a lazy loader)."""
         return [not callable(slot) for slot in self._slots]
 
-    def peek(self, index: int):
-        """The raw slot — a model, a proxy, or a pending loader — without
-        materializing it (cluster plumbing and introspection)."""
-        return self._slots[index]
-
-    @property
-    def loaded_count(self) -> int:
-        return sum(self.materialized_flags())
-
     def replace(self, replacements: dict[int, FactorJoin]) -> "ShardSet":
         slots = list(self._slots)
         for index, model in replacements.items():
             slots[index] = model
         return ShardSet(slots)
+
+
+def probe_shard(model, table_name: str, pred: Predicate,
+                columns: tuple = (), want_total: bool = True) -> tuple:
+    """One shard's probe: ``(filtered row count or None, {column: binned
+    key distribution})``.
+
+    The single definition of a shard probe: the ensemble's table view,
+    a cluster worker, and the cluster driver's crash retry all call it,
+    so an answer never depends on where it was computed.
+    """
+    estimator = model.table_estimator(table_name)
+    total = (float(estimator.estimate_row_count(pred))
+             if want_total else None)
+    dists = {column: estimator.key_distribution(column, pred)
+             for column in columns}
+    return total, dists
+
+
+def merge_probes(answers, columns: tuple, binnings: dict[str, Binning],
+                 want_total: bool) -> tuple:
+    """Sum per-shard :func:`probe_shard` answers — ordered by shard
+    index — into one ``(total, dists)`` of fresh arrays.
+
+    The single definition of the merge: a plain float sum for totals
+    and a float64 zero-initialized accumulation per column, wherever the
+    shard answers were computed — which is what makes a cluster's
+    answers bit-identical to the in-process ensemble's.
+    """
+    total = (float(sum(answer[0] for answer in answers))
+             if want_total else None)
+    dists = {}
+    for column in columns:
+        acc = np.zeros(binnings[column].n_bins, dtype=np.float64)
+        for answer in answers:
+            acc += answer[1][column]
+        dists[column] = acc
+    return total, dists
 
 
 class EnsembleTableEstimator(BaseTableEstimator):
@@ -275,18 +304,21 @@ class EnsembleTableEstimator(BaseTableEstimator):
             out.append(index)
         return out
 
+    def probe(self, pred: Predicate, columns: tuple = (),
+              want_total: bool = True) -> tuple:
+        """``(row count or None, {column: key distribution})`` under
+        ``pred``: every candidate shard probed, summed in shard order."""
+        return merge_probes(
+            [probe_shard(self._shard_set.model(i), self._table_name, pred,
+                         columns, want_total)
+             for i in self.candidate_shards(pred)],
+            columns, self._binnings, want_total)
+
     def estimate_row_count(self, pred: Predicate) -> float:
-        return float(sum(
-            self._shard_set.model(i).table_estimator(
-                self._table_name).estimate_row_count(pred)
-            for i in self.candidate_shards(pred)))
+        return self.probe(pred)[0]
 
     def key_distribution(self, column: str, pred: Predicate) -> np.ndarray:
-        total = np.zeros(self._binnings[column].n_bins, dtype=np.float64)
-        for i in self.candidate_shards(pred):
-            total += self._shard_set.model(i).table_estimator(
-                self._table_name).key_distribution(column, pred)
-        return total
+        return self.probe(pred, (column,), False)[1][column]
 
     # mutations go through ShardedFactorJoin.update (routed + atomic
     # state swap); the assembled view only reports capability
@@ -321,6 +353,15 @@ class _EnsembleState:
     merged_pairs: dict[tuple[str, str, str], np.ndarray] = field(
         default_factory=dict)
     supports: dict[str, tuple[bool, bool]] = field(default_factory=dict)
+
+    def slot(self, index: int):
+        """Shard ``index``'s model; a :class:`ReproError` when the index
+        is out of range."""
+        if not 0 <= index < len(self.shard_set):
+            raise ReproError(
+                f"shard index {index} out of range for a "
+                f"{len(self.shard_set)}-shard ensemble")
+        return self.shard_set.model(index)
 
 
 class ShardedFactorJoin:
@@ -624,10 +665,7 @@ class ShardedFactorJoin:
         """
         with self._update_lock, Timer() as timer:
             state = self._require_state()
-            if not 0 <= index < len(state.shard_set):
-                raise ReproError(
-                    f"shard index {index} out of range for a "
-                    f"{len(state.shard_set)}-shard ensemble")
+            state.slot(index)  # a bad index fails before anything loads
             slot, old_stats, new_stats, summary, extra = self._swap_parts(
                 state, index, replacement, summary)
             self._state = replaced_shard_state(

@@ -12,7 +12,7 @@ import itertools
 from dataclasses import dataclass
 
 from repro.errors import SchemaError
-from repro.sql.predicates import Predicate, TruePredicate, conjoin
+from repro.sql.predicates import Predicate, TruePredicate
 
 
 @dataclass(frozen=True, order=True)
@@ -193,19 +193,6 @@ class Query:
         filters = {a: p for a, p in self.filters.items() if a in aliases}
         return Query(tables, joins, filters)
 
-    def enumerate_subplans(self, min_tables: int = 2,
-                           max_subplans: int | None = None) -> list["Query"]:
-        """All connected induced sub-queries with >= ``min_tables`` tables.
-
-        These are the sub-plan queries a query optimizer asks the CardEst
-        method to estimate (Section 5.2).  Enumerated by increasing size so a
-        progressive estimator can reuse smaller results.
-        """
-        subsets = self.connected_subsets(min_tables)
-        if max_subplans is not None:
-            subsets = subsets[:max_subplans]
-        return [self.subquery(s) for s in subsets]
-
     def connected_subsets(self, min_tables: int = 2) -> list[frozenset[str]]:
         """Connected alias subsets, ordered by size then lexicographically."""
         adj = self.adjacency()
@@ -312,10 +299,3 @@ def _is_connected_subset(aliases: set[str], adj: dict[str, set[str]]) -> bool:
                 seen.add(nbr)
                 stack.append(nbr)
     return len(seen) == len(aliases)
-
-
-def merge_filters(query: Query, alias: str, extra: Predicate) -> Query:
-    """Return a copy of ``query`` with ``extra`` AND-ed into one alias filter."""
-    filters = dict(query.filters)
-    filters[alias] = conjoin([query.filter_of(alias), extra])
-    return Query(query.tables, query.joins, filters)

@@ -1,8 +1,10 @@
 """TCP transport end to end: framed RPC over localhost, the artifact
 store, fault-injected retries (bit-identical, single-rooted traces),
-and worker-initiated ledger compaction."""
+worker-initiated ledger compaction, and driver operations aimed at a
+worker that just crashed."""
 
 import contextlib
+import gc
 import json
 import time
 
@@ -31,7 +33,7 @@ from repro.cluster.messages import (
 from repro.core.estimator import FactorJoinConfig
 from repro.errors import ReproError, WorkerError
 from repro.serve import EstimationService, LocalArtifactStore, is_store_ref
-from repro.shard import ShardedFactorJoin
+from repro.shard import ShardedFactorJoin, save_shard_artifact
 from repro.sql import parse_query
 from tests.fakenet import FaultProxy
 from tests.test_cluster_model import (
@@ -40,6 +42,7 @@ from tests.test_cluster_model import (
     _config,
     _fit_sharded,
     _insert_batch,
+    _refit_shard,
 )
 
 pytestmark = pytest.mark.filterwarnings("ignore::pytest.PytestUnraisableExceptionWarning")
@@ -449,6 +452,93 @@ class TestCompaction:
             for sql in QUERIES:
                 assert cluster.estimate(parse_query(sql)) == \
                     local.estimate(parse_query(sql))
+
+
+
+def _kill(cluster, worker_id: int) -> None:
+    cluster.pool.workers[worker_id].transport.process.kill()
+    time.sleep(0.2)
+
+
+class TestCrashedTarget:
+    """Each driver operation aimed at a worker that just died succeeds,
+    answers like the in-process ensemble (or its own pre-crash value),
+    and leaks no shard-state token."""
+
+    @pytest.fixture
+    def pipe_cluster(self, artifact):
+        path, db = artifact
+        with ClusterModel.from_artifact(path, workers=2) as cluster:
+            yield cluster, _fit_sharded(db), db
+
+    @staticmethod
+    def _assert_matches(cluster, reference):
+        for sql in QUERIES:
+            assert cluster.estimate(parse_query(sql)) == \
+                reference.estimate(parse_query(sql))
+
+    @staticmethod
+    def _assert_no_leak(cluster, baseline: int):
+        gc.collect()
+        assert len(cluster._ledgers.snapshot()) == baseline
+
+    def test_hot_swap_onto_a_crashed_owner(self, pipe_cluster, tmp_path):
+        cluster, reference, db = pipe_cluster
+        baseline = len(cluster._ledgers.snapshot())
+        refit = _refit_shard(db, 1)
+        shard_path = tmp_path / "refresh1"
+        save_shard_artifact(refit.model, shard_path, summary=refit.summary)
+        _kill(cluster, cluster._require_state().shard_set.model(1).worker_id)
+        info = cluster.hot_swap_shard(1, shard_path)
+        assert info["stats_changed"] is False
+        self._assert_matches(cluster, reference)
+        self._assert_no_leak(cluster, baseline)
+
+    def test_rehome_onto_a_crashed_worker(self, pipe_cluster):
+        cluster, reference, _ = pipe_cluster
+        baseline = len(cluster._ledgers.snapshot())
+        assert cluster._require_state().shard_set.model(0).worker_id == 0
+        _kill(cluster, 1)
+        info = cluster.rehome_shard(0, worker_id=1)
+        assert info["moved"] is True
+        assert cluster._require_state().shard_set.model(0).worker_id == 1
+        self._assert_matches(cluster, reference)
+        assert cluster.workers_health()[1]["alive"] is True
+        self._assert_no_leak(cluster, baseline)
+
+    def test_fingerprint_and_size_after_crashes(self, pipe_cluster):
+        cluster, _, _ = pipe_cluster
+        baseline = len(cluster._ledgers.snapshot())
+        fingerprint = cluster.fingerprint()
+        size = cluster.model_size_bytes()
+        for worker_id in range(2):
+            _kill(cluster, worker_id)
+        assert cluster.fingerprint() == fingerprint
+        for worker_id in range(2):
+            _kill(cluster, worker_id)
+        assert cluster.model_size_bytes() == size
+        self._assert_no_leak(cluster, baseline)
+
+    def test_compaction_on_a_crashed_owner(self, pipe_cluster, tmp_path):
+        cluster, reference, _ = pipe_cluster
+        batch = _insert_batch()
+        cluster.update("C", batch)
+        reference.update("C", batch)
+        gc.collect()
+        baseline = len(cluster._ledgers.snapshot())
+        state = cluster._require_state()
+        index = next(i for i in range(N_SHARDS)
+                     if cluster._ledgers.get(
+                         state.shard_set.model(i).token).journal)
+        slot = state.shard_set.model(index)
+        _kill(cluster, slot.worker_id)
+        info = cluster.compact_shard(index, save_dir=tmp_path / "compact")
+        assert info["compacted"] is True and info["journal_dropped"] == 1
+        assert cluster._ledgers.get(slot.token).journal == ()
+        # the fresh artifact is what the next crash reseeds from
+        _kill(cluster, slot.worker_id)
+        self._assert_matches(cluster, reference)
+        self._assert_no_leak(cluster, baseline)
 
 
 class TestPoolOverTcp:
